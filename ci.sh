@@ -112,6 +112,27 @@ if grep -rn '#\[deprecated' crates/; then
   exit 1
 fi
 
+echo "== perfbench smoke (correctness of every workload, no timing gate) =="
+# perfbench/ is its own workspace on path dependencies, so nothing above
+# builds it; this catches an API change in the crates that breaks it.
+# Each run's last output line is its result JSON; the check is typed.
+for wl in ycsb chain guest; do
+  python3 perfbench/run.py --workload "$wl" --seed 1 --seconds 2 --trace 0 \
+    > "target/ci-perfbench-$wl.txt"
+  python3 - "$wl" "target/ci-perfbench-$wl.txt" <<'PY'
+import json
+import sys
+
+workload, path = sys.argv[1], sys.argv[2]
+with open(path) as fh:
+    lines = [line for line in fh.read().splitlines() if line.strip()]
+result = json.loads(lines[-1]) if lines else {}
+correct, failed = result.get("correct"), result.get("failed")
+if correct is not True or type(failed) is not int or failed != 0:
+    sys.exit(f"ci: perfbench {workload}: correct={correct!r} failed={failed!r}")
+PY
+done
+
 echo "== simspeed (arena steady state + sampled >= 5x + parallel sweep) =="
 # The binary itself exits non-zero on slab growth after warmup, a
 # sampled-mode speedup below 5x the recorded pre-refactor baseline, a

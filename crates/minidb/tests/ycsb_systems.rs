@@ -83,3 +83,18 @@ fn ipc_fraction_is_significant_on_sel4() {
         );
     }
 }
+
+#[test]
+fn long_ycsb_a_run_grows_the_table_past_single_indirect() {
+    // 4 000 YCSB-A ops append ~2 000 row versions on top of the 1 000-row
+    // load: a ~3 MiB table file, past the 12 + 512 blocks one indirect
+    // table maps, on run_workload's 32 768-block ramdisk.
+    let mut world = World::new(Box::new(Zircon::new()));
+    let spec = WorkloadSpec {
+        ops: 4000,
+        ..WorkloadSpec::paper(Workload::A)
+    };
+    let r = run_workload(&mut world, &spec);
+    assert_eq!(r.ops, 4000);
+    assert!(r.ops_per_sec > 0.0);
+}
