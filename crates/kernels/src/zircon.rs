@@ -89,7 +89,7 @@ mod tests {
         // §1: "Zircon costs tens of thousands of cycles for one
         // round-trip IPC".
         let mut z = Zircon::new();
-        let rt = z.roundtrip(64, 64).total;
+        let rt = simos::roundtrip(&mut z, 64, 64).total;
         assert!((10_000..100_000).contains(&rt), "round trip: {rt}");
     }
 

@@ -7,7 +7,7 @@ use kernels::{
     XCoreCost, XpcIpc, Zircon,
 };
 use simos::cost::CostModel;
-use simos::ipc::IpcSystem;
+use simos::ipc::{roundtrip, IpcSystem};
 use simos::transport::Transport;
 
 /// Size axis: boundary values of every transfer regime (register path,
@@ -362,7 +362,7 @@ fn roundtrip_is_the_sum_of_its_legs() {
         let name = sys.name();
         let call = sys.oneway(256, &InvokeOpts::call());
         let reply = sys.oneway(64, &InvokeOpts::reply_leg());
-        let rt = sys.roundtrip(256, 64);
+        let rt = roundtrip(&mut sys, 256, 64);
         assert_eq!(rt.total, call.total + reply.total, "{name}");
         assert_eq!(rt.ledger.total(), rt.total, "{name}");
         assert_eq!(

@@ -60,7 +60,8 @@ pub mod world;
 
 pub use cost::CostModel;
 pub use ipc::{
-    amortized_batch, amortized_batch_into, oneway_invocation, EngineCacheStats, IpcCost, IpcSystem,
+    amortized_batch, amortized_batch_into, oneway_invocation, roundtrip, EngineCacheStats, IpcCost,
+    IpcSystem,
 };
 pub use ledger::{
     ArenaMark, Attribution, CycleLedger, Hardening, Invocation, InvokeOpts, LedgerArena, LedgerRef,

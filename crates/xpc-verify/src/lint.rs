@@ -17,7 +17,7 @@
 //! order, same copied bytes — as ledger drift.
 
 use crate::finding::{Finding, Verdict};
-use simos::ipc::IpcSystem;
+use simos::ipc::{roundtrip, IpcSystem};
 use simos::ledger::{CycleLedger, Invocation, InvokeOpts};
 
 /// Message sizes the lint sweeps — the experiments' sweep points plus
@@ -97,7 +97,7 @@ pub fn lint_system(sys: &mut dyn IpcSystem) -> Vec<Finding> {
         note(lint_invocation(
             &name,
             &format!("roundtrip({len})"),
-            &sys.roundtrip(len, len),
+            &roundtrip(sys, len, len),
         ));
         for &calls in &BATCHES {
             let inv = sys.invoke_batch(calls, len, &InvokeOpts::call());
