@@ -9,7 +9,7 @@ use crate::harness::{CallBench, CallBenchConfig};
 use kernels::XpcIpc;
 use rv64::{reg, Assembler};
 use simos::cost::CostModel;
-use simos::ipc::{EngineCacheStats, IpcSystem};
+use simos::ipc::{invoke_batch, EngineCacheStats};
 use simos::ledger::InvokeOpts;
 use simos::transport::Transport;
 use xpc::kernel::{syscall, KernelEvent, XpcKernel, XpcKernelConfig};
@@ -116,7 +116,7 @@ pub fn engine_batch_rows() -> Vec<(u64, f64, EngineCacheStats)> {
         .into_iter()
         .map(|n| {
             let mut x = XpcIpc::sel4_xpc();
-            let inv = x.invoke_batch(n, 64, &InvokeOpts::call());
+            let inv = invoke_batch(&mut x, n, 64, &InvokeOpts::call());
             (n, inv.total as f64 / n as f64, x.stats)
         })
         .collect()

@@ -8,7 +8,8 @@
 
 use super::Report;
 use crate::harness::{CallBenchConfig, EmulatedXpc};
-use kernels::{Invocation, InvokeOpts, IpcSystem, Phase};
+use kernels::{Invocation, InvokeOpts, Phase};
+use simos::ipc::oneway;
 
 /// One Figure 5 bar.
 #[derive(Debug, Clone)]
@@ -32,7 +33,7 @@ pub fn invocations() -> Vec<(&'static str, Invocation)> {
     CallBenchConfig::fig5_ladder()
         .into_iter()
         .map(|(config, cfg)| {
-            let inv = EmulatedXpc::new(config, &cfg).oneway(0, &InvokeOpts::call());
+            let inv = oneway(&mut EmulatedXpc::new(config, &cfg), 0, &InvokeOpts::call());
             (config, inv)
         })
         .collect()

@@ -25,9 +25,9 @@ use super::Report;
 use kernels::{Sel4, Sel4Transfer, XpcIpc, Zircon};
 use simos::serve::{serve_with, ServeScratch};
 use simos::{
-    ArrivalProcess, ArrivalTrace, Attribution, CallProgram, IpcSystem, LedgerArena, MultiWorld,
-    OpenLoopGen, PhaseTotals, Placement, Recipe, ServePolicy, ServeReport, ServeSpec, Step,
-    TenantClass, Topology,
+    ArrivalProcess, ArrivalTrace, Attribution, CallProgram, CycleLedger, IpcSystem, LedgerArena,
+    MultiWorld, OpenLoopGen, PhaseTotals, Placement, Recipe, ServePolicy, ServeReport, ServeSpec,
+    Step, TenantClass, Topology,
 };
 
 /// Chain depths the grid sweeps.
@@ -126,14 +126,14 @@ pub fn grid_results() -> Vec<FuseCell> {
             .build(mk);
         let pid = mw.register_program(chain(depth, handover));
         let map: Vec<usize> = (0..=depth).collect();
-        let c = mw.exec_fused(0, pid, &map, 0);
+        let c = mw.exec_into(Step::Fused(pid), &map, 0, &mut CycleLedger::new());
         FuseCell {
             system,
             depth,
             handover,
             cycles: c.done,
             crossings: mw.fused_crossings(pid, &map),
-            copied_bytes: c.inv.copied_bytes,
+            copied_bytes: c.copied_bytes,
         }
     })
 }

@@ -20,7 +20,7 @@
 use super::Report;
 use crate::sweep::SIZES;
 use kernels::{InvokeOpts, Phase, Sel4, Sel4Transfer, XpcIpc, Zircon};
-use simos::{Hardening, IpcSystem};
+use simos::{oneway, Hardening, IpcSystem};
 
 /// The mitigation sets the grid sweeps, in column order.
 pub const SETS: [(&str, Hardening); 5] = [
@@ -89,12 +89,12 @@ pub fn results() -> Vec<Vec<HardenCell>> {
         let system = s.name();
         let base: Vec<u64> = SIZES
             .iter()
-            .map(|&b| s.oneway(b, &InvokeOpts::call()).total)
+            .map(|&b| oneway(s.as_mut(), b, &InvokeOpts::call()).total)
             .collect();
         let mut cells = Vec::new();
         for (set, h) in SETS {
             for (i, &b) in SIZES.iter().enumerate() {
-                let inv = s.oneway(b, &InvokeOpts::call().hardened(h));
+                let inv = oneway(s.as_mut(), b, &InvokeOpts::call().hardened(h));
                 cells.push(HardenCell {
                     system: system.clone(),
                     set,

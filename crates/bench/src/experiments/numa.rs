@@ -23,7 +23,7 @@ use super::Report;
 use kernels::{Sel4, Sel4Transfer, XpcIpc, Zircon};
 use services::http::{chain_steps, ChainSpec, CHAIN_SERVICES};
 use simos::{
-    Attribution, Invocation, InvokeOpts, IpcSystem, LoadGen, LoadReport, MultiWorld, Phase,
+    Attribution, CycleLedger, Invocation, IpcSystem, LoadGen, LoadReport, MultiWorld, Phase,
     Placement, Step, Topology,
 };
 
@@ -61,7 +61,15 @@ pub fn hops() -> Vec<Hop> {
             let mut mw = MultiWorld::builder()
                 .topology(Topology::dual_socket())
                 .build(mk);
-            mw.exec_oneway(0, to, HOP_BYTES, &InvokeOpts::call(), 0).1
+            let hop = Step::Oneway {
+                from: 0,
+                to,
+                bytes: HOP_BYTES,
+            };
+            let ids: Vec<usize> = (0..mw.n_cores()).collect();
+            let mut ledger = CycleLedger::new();
+            let c = mw.exec_into(hop, &ids, 0, &mut ledger);
+            Invocation::from_ledger(ledger, c.copied_bytes)
         };
         Hop {
             system: mk().name(),

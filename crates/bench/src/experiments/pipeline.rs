@@ -1,7 +1,7 @@
 //! **Pipeline** — the windowed asynchronous invocation pipeline with
 //! call batching: each client keeps up to W requests outstanding
 //! (`simos::load::run_windowed`), and each request submits bursts of
-//! calls priced by `IpcSystem::invoke_batch`. XPC amortizes its whole
+//! calls priced by `IpcSystem::invoke_batch_into`. XPC amortizes its whole
 //! entry path across a burst (trampoline once, repeat `xcall`s hit the
 //! engine's one-entry x-entry cache), trap-based kernels still trap and
 //! switch per call — so the per-call gap *widens* with batch size, and

@@ -4,8 +4,8 @@
 //!
 //! * `pre-refactor` — a faithful copy of the allocating driver the arena
 //!   refactor replaced: linear min-scan issue order, a fresh core map
-//!   and a fresh [`CycleLedger`] per request, per-step `Invocation`
-//!   allocations through `MultiWorld::exec`;
+//!   and a fresh [`CycleLedger`] per request, each priced by
+//!   [`simos::load::run_request`];
 //! * `full` — [`run_windowed_with`](simos::load::run_windowed_with)
 //!   under [`Attribution::Full`]: span-exact attribution staged through
 //!   a reset-and-reuse [`LedgerArena`];
@@ -117,8 +117,8 @@ fn spec(requests: u64) -> LoadGen {
 /// The pre-refactor closed-loop driver, kept verbatim as the recorded
 /// baseline: O(clients) linear min-scan for the next issuer, a fresh
 /// `Vec<CoreId>` core map and a fresh merged [`CycleLedger`] per
-/// request, per-step `Invocation` ledger allocations inside
-/// [`simos::load::run_request`], and the latency sample collected and
+/// request priced by [`simos::load::run_request`] (which allocates its
+/// own scratch ledgers and arena), and the latency sample collected and
 /// sorted at the end exactly as the old `run_windowed` tail did.
 /// Returns the merged ledger and the sorted latencies.
 fn pre_refactor_run(mw: &mut MultiWorld, requests: u64) -> (CycleLedger, Vec<u64>) {

@@ -7,14 +7,15 @@
 
 use super::Report;
 use crate::sweep::ledger_table;
-use kernels::{Invocation, InvokeOpts, IpcSystem, Sel4, Sel4Transfer};
+use kernels::{Invocation, InvokeOpts, Sel4, Sel4Transfer};
+use simos::ipc::oneway;
 
 /// The two invocations whose ledgers are the table's columns.
 pub fn invocations() -> (Invocation, Invocation) {
     let mut s = Sel4::new(Sel4Transfer::OneCopy);
     (
-        s.oneway(0, &InvokeOpts::call()),
-        s.oneway(4096, &InvokeOpts::call()),
+        oneway(&mut s, 0, &InvokeOpts::call()),
+        oneway(&mut s, 4096, &InvokeOpts::call()),
     )
 }
 

@@ -9,6 +9,7 @@
 
 use crate::experiments::Report;
 use kernels::{Invocation, InvokeOpts, IpcSystem};
+use simos::oneway;
 
 /// The default message-size axis (bytes) for sweep-driven figures.
 pub const SIZES: [usize; 5] = [0, 64, 1024, 4096, 16384];
@@ -32,7 +33,10 @@ pub fn sweep(
         .iter_mut()
         .map(|s| SweepRow {
             system: s.name(),
-            points: sizes.iter().map(|&b| (b, s.oneway(b, opts))).collect(),
+            points: sizes
+                .iter()
+                .map(|&b| (b, oneway(s.as_mut(), b, opts)))
+                .collect(),
         })
         .collect()
 }
@@ -49,7 +53,7 @@ pub fn roster_sweep() -> Vec<SweepRow> {
             system: s.name(),
             points: SIZES
                 .iter()
-                .map(|&b| (b, s.oneway(b, &InvokeOpts::call())))
+                .map(|&b| (b, oneway(s.as_mut(), b, &InvokeOpts::call())))
                 .collect(),
         }
     })
@@ -227,8 +231,8 @@ mod tests {
     fn ledger_table_prints_sum_matching_totals() {
         let mut s = Sel4::new(Sel4Transfer::OneCopy);
         let cols = vec![
-            ("0B".to_string(), s.oneway(0, &InvokeOpts::call())),
-            ("4KB".to_string(), s.oneway(4096, &InvokeOpts::call())),
+            ("0B".to_string(), oneway(&mut s, 0, &InvokeOpts::call())),
+            ("4KB".to_string(), oneway(&mut s, 4096, &InvokeOpts::call())),
         ];
         let t = ledger_table("T", "test", &cols);
         let sum = t.rows.last().unwrap();
@@ -246,7 +250,7 @@ mod tests {
         );
         let extra = vec![(
             "fig5",
-            vec![("bar".to_string(), s.oneway(0, &InvokeOpts::call()))],
+            vec![("bar".to_string(), oneway(&mut s, 0, &InvokeOpts::call()))],
         )];
         let raw = vec![("scale", "[{\"x\": 1}]".to_string())];
         let j = json_dump(&rows, &extra, &raw);

@@ -85,6 +85,7 @@ pub fn full_roster_cross_core() -> Vec<Box<dyn IpcSystem>> {
 
 #[cfg(test)]
 mod tests {
+    use simos::ipc::oneway;
     use simos::ledger::InvokeOpts;
 
     #[test]
@@ -100,7 +101,7 @@ mod tests {
     fn every_system_upholds_the_ledger_invariant() {
         for mut sys in super::full_roster() {
             for bytes in [0usize, 64, 4096] {
-                let inv = sys.oneway(bytes, &InvokeOpts::call());
+                let inv = oneway(sys.as_mut(), bytes, &InvokeOpts::call());
                 assert_eq!(inv.total, inv.ledger.total(), "{}", sys.name());
             }
         }

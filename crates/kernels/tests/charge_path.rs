@@ -1,55 +1,54 @@
 //! Charge-path differential: `World::ipc_roundtrip` and
-//! `World::ipc_oneway` price their legs through the sink
-//! (`IpcSystem::oneway_into`) into a reused ledger. A twin world charged
-//! through the allocating `price_oneway` on each leg plus
-//! `charge_invocation` must end up with identical accounting — clock,
-//! IPC and transfer cycles, size events, counts, payload bytes, the
-//! merged ledger's spans in order, and engine-cache counters — for every
-//! system in the full roster and a stub that implements only `oneway`.
+//! `World::ipc_oneway` price their legs into one reused ledger. A twin
+//! world that prices each leg as a standalone invocation
+//! (`price_oneway`) and charges it with `charge_invocation` must end up
+//! with identical accounting — clock, IPC and transfer cycles, size
+//! events, counts, payload bytes, the merged ledger's spans in order,
+//! and engine-cache counters — for every system in the full roster and
+//! a minimal stateful stub.
 
 use kernels::full_roster_factories;
-use simos::{CycleLedger, Invocation, InvokeOpts, IpcSystem, Phase, World};
+use simos::{CycleLedger, InvokeOpts, IpcSystem, Phase, World};
 
 const SIZES: [u64; 5] = [0, 16, 64, 4160, 16384];
 
-/// A system that implements only `oneway`, with state: every leg costs
-/// more than the last, so a reordered, dropped or repeated leg shows.
-struct OnewayOnly {
+/// A system that implements only the required methods, with state:
+/// every leg costs more than the last, so a reordered, dropped or
+/// repeated leg shows.
+struct Stateful {
     legs: u64,
 }
 
-impl IpcSystem for OnewayOnly {
+impl IpcSystem for Stateful {
     fn name(&self) -> String {
-        "oneway-only".into()
+        "stateful".into()
     }
-    fn oneway(&mut self, msg_len: usize, opts: &InvokeOpts) -> Invocation {
+    fn oneway_into(&mut self, msg_len: usize, opts: &InvokeOpts, out: &mut CycleLedger) -> u64 {
         self.legs += 1;
         let entry = if opts.reply { Phase::Xret } else { Phase::Trap };
-        Invocation::from_ledger(
-            CycleLedger::new()
-                .with(entry, 100 + self.legs)
-                .with(Phase::Transfer, msg_len as u64)
-                .with(Phase::IpcLogic, 7 * self.legs),
-            msg_len as u64,
-        )
+        out.charge(entry, 100 + self.legs);
+        out.charge(Phase::Transfer, msg_len as u64);
+        out.charge(Phase::IpcLogic, 7 * self.legs);
+        msg_len as u64
     }
 }
 
 fn systems() -> Vec<fn() -> Box<dyn IpcSystem>> {
     let mut all = full_roster_factories();
-    all.push(|| Box::new(OnewayOnly { legs: 0 }));
+    all.push(|| Box::new(Stateful { legs: 0 }));
     all
 }
 
-/// A round trip on the allocating path: both legs priced, then merged.
+/// A round trip priced leg by leg as standalone invocations, then merged.
 fn alloc_roundtrip(w: &mut World, request: u64, response: u64) {
-    let call = w.price_oneway(request, &InvokeOpts::call());
+    let mut legs = w.price_oneway(request, &InvokeOpts::call());
     let reply = w.price_oneway(response, &InvokeOpts::reply_leg());
-    w.charge_invocation(request + response, call.plus(reply));
+    legs.ledger.merge(&reply.ledger);
+    w.charge_invocation(request + response, legs);
 }
 
-/// Charge the same traffic through the sink path and the allocating
-/// path.
+/// Charge the same traffic through the shared-ledger path and the
+/// standalone-invocation path.
 fn charge(sink: &mut World, alloc: &mut World, size: u64) {
     sink.ipc_roundtrip(size, 16);
     alloc_roundtrip(alloc, size, 16);
@@ -97,8 +96,8 @@ fn sink_charges_equal_allocating_charges_across_the_roster() {
 }
 
 #[test]
-fn oneway_only_stub_is_priced_leg_by_leg() {
-    let mut w = World::new(Box::new(OnewayOnly { legs: 0 }));
+fn stateful_stub_is_priced_leg_by_leg() {
+    let mut w = World::new(Box::new(Stateful { legs: 0 }));
     w.ipc_roundtrip(10, 20);
     // Call leg 1: Trap 101, Transfer 10, IpcLogic 7; reply leg 2:
     // Xret 102, Transfer 20, IpcLogic 14 — merged in first-charge order.

@@ -646,20 +646,6 @@ impl Invocation {
             copied_bytes,
         }
     }
-
-    /// A single-phase invocation (handy for fixtures and stubs).
-    pub fn single(phase: Phase, cycles: u64) -> Self {
-        Self::from_ledger(CycleLedger::new().with(phase, cycles), 0)
-    }
-
-    /// Concatenate two invocations (round trips, chains).
-    #[must_use]
-    pub fn plus(mut self, other: Invocation) -> Self {
-        self.ledger.merge(&other.ledger);
-        self.total += other.total;
-        self.copied_bytes += other.copied_bytes;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -676,21 +662,6 @@ mod tests {
         assert_eq!(l.spans().len(), 2, "zero charge is recorded once");
         assert_eq!(l.spans()[0].0, Phase::Trap);
         assert_eq!(l.total(), 107);
-    }
-
-    #[test]
-    fn merge_and_plus_preserve_totals() {
-        let a = Invocation::from_ledger(
-            CycleLedger::new()
-                .with(Phase::Trap, 10)
-                .with(Phase::Transfer, 5),
-            5,
-        );
-        let b = Invocation::single(Phase::Xret, 23);
-        let sum = a.clone().plus(b);
-        assert_eq!(sum.total, 38);
-        assert_eq!(sum.total, sum.ledger.total());
-        assert_eq!(sum.copied_bytes, 5);
     }
 
     #[test]

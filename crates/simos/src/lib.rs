@@ -12,8 +12,8 @@
 //! * [`ledger`] — the [`CycleLedger`]/[`Phase`] attribution every system
 //!   charges against, and the [`Invocation`] it returns;
 //! * [`ipc::IpcSystem`] — the invocation pipeline every kernel model
-//!   implements (one ledger-carrying hop as a function of message size
-//!   and [`InvokeOpts`]);
+//!   implements (one hop charged into a [`CycleLedger`] as a function of
+//!   message size and [`InvokeOpts`]);
 //! * [`transport`] — the four long-message mechanisms of Figure 10
 //!   (twofold copy, user shared memory, remap, relay segment) with their
 //!   security properties from Table 7;
@@ -26,7 +26,7 @@
 //! * [`multicore`] — N per-core worlds with §5.2 cross-core call pricing
 //!   scaled by socket distance (the [`multicore::CrossCore`] adapter
 //!   works over *any* system), built via [`multicore::MultiWorldBuilder`]
-//!   and driven through the unified [`multicore::MultiWorld::exec`], plus
+//!   and driven through [`multicore::MultiWorld::exec_into`], plus
 //!   NUMA-aware placement policies;
 //! * [`program`] — fused multi-hop call programs (AnyCall-style): a
 //!   [`program::Recipe`] builder produces bounded [`program::CallProgram`]s
@@ -59,10 +59,7 @@ pub mod transport;
 pub mod world;
 
 pub use cost::CostModel;
-pub use ipc::{
-    amortized_batch, amortized_batch_into, oneway_invocation, roundtrip, EngineCacheStats, IpcCost,
-    IpcSystem,
-};
+pub use ipc::{amortized_batch_into, invoke_batch, oneway, roundtrip, EngineCacheStats, IpcSystem};
 pub use ledger::{
     ArenaMark, Attribution, CycleLedger, Hardening, Invocation, InvokeOpts, LedgerArena, LedgerRef,
     Phase, PhaseTotals,

@@ -23,12 +23,11 @@
 //!   in-tree seeded [`ycsb::rng`], so the same seed reproduces the same
 //!   percentile report bit for bit — and `window = 1` reproduces the
 //!   pre-windowed closed-loop report exactly;
-//! * **ledger-derived** — every hop returns an
-//!   [`Invocation`](crate::ledger::Invocation); a
-//!   request's latency is the virtual-time span from issue to last step
-//!   (queueing included), and the report's phase breakdown (how much of
-//!   the fleet's IPC time was cross-core, transfer, queueing, …) is the
-//!   merged per-request ledger.
+//! * **ledger-derived** — every step charges its phase spans into a
+//!   [`CycleLedger`]; a request's latency is the virtual-time span from
+//!   issue to last step (queueing included), and the report's phase
+//!   breakdown (how much of the fleet's IPC time was cross-core,
+//!   transfer, queueing, …) is the merged per-request ledger.
 
 use crate::ipc::EngineCacheStats;
 use crate::ledger::{Attribution, CycleLedger, LedgerArena, LedgerRef, Phase, PhaseTotals};
@@ -38,8 +37,8 @@ use std::collections::BinaryHeap;
 use std::fmt;
 use ycsb::rng::Rng;
 
-// Recipes are sequences of `Step`s in *service-id* space; the same enum,
-// resolved to core space, is what `MultiWorld::exec` runs. Re-exported
+// Recipes are sequences of `Step`s in *service-id* space, which
+// `MultiWorld::exec_into` runs under a placement's core map. Re-exported
 // here because recipe construction is this module's vocabulary.
 pub use crate::multicore::Step;
 
@@ -84,6 +83,19 @@ pub enum LoadError {
     ZeroWindow,
     /// The placement policy rejected a service → core map.
     Placement(PlacementError),
+    /// Step `step` of recipe `recipe` names service `service` (in a step
+    /// field, or as a registered program's client or hop), outside the
+    /// run's `0..n_services`.
+    ServiceOutOfRange {
+        /// Index of the recipe in the roster.
+        recipe: usize,
+        /// Index of the step in the recipe.
+        step: usize,
+        /// The out-of-range service id.
+        service: usize,
+        /// Services the run maps to cores.
+        n_services: usize,
+    },
 }
 
 impl fmt::Display for LoadError {
@@ -98,6 +110,15 @@ impl fmt::Display for LoadError {
                 )
             }
             LoadError::Placement(e) => write!(f, "placement rejected the core map: {e}"),
+            LoadError::ServiceOutOfRange {
+                recipe,
+                step,
+                service,
+                n_services,
+            } => write!(
+                f,
+                "recipe {recipe}, step {step}: service {service} is outside 0..{n_services}"
+            ),
         }
     }
 }
@@ -211,75 +232,6 @@ pub(crate) fn percentile(sorted: &[u64], q: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Resolve a recipe step from service-id space to core space via `map`;
-/// from here on [`MultiWorld::exec`] / [`MultiWorld::exec_into`] do the
-/// rest.
-fn resolve_step(map: &[CoreId], step: &Step) -> Step {
-    match *step {
-        Step::Oneway { from, to, bytes } => Step::Oneway {
-            from: map[from],
-            to: map[to],
-            bytes,
-        },
-        Step::Batch {
-            from,
-            to,
-            calls,
-            bytes_each,
-        } => Step::Batch {
-            from: map[from],
-            to: map[to],
-            calls,
-            bytes_each,
-        },
-        Step::Roundtrip {
-            from,
-            to,
-            request,
-            response,
-        } => Step::Roundtrip {
-            from: map[from],
-            to: map[to],
-            request,
-            response,
-        },
-        Step::Compute { at, cycles } => Step::Compute {
-            at: map[at],
-            cycles,
-        },
-        Step::DataPass {
-            at,
-            bytes,
-            intensity_x10,
-        } => Step::DataPass {
-            at: map[at],
-            bytes,
-            intensity_x10,
-        },
-        // Fused programs resolve their services inside
-        // `MultiWorld::exec_fused*` (the id carries no service fields to
-        // rewrite); the request drivers intercept the variant before
-        // this resolver runs.
-        Step::Fused(id) => Step::Fused(id),
-    }
-}
-
-/// The issuing core, serving core, and IPC-call count of a core-space
-/// step.
-fn step_route(resolved: &Step) -> (CoreId, CoreId, u64) {
-    match *resolved {
-        Step::Oneway { from, to, .. } | Step::Roundtrip { from, to, .. } => (from, to, 1),
-        Step::Batch {
-            from, to, calls, ..
-        } => (from, to, calls),
-        Step::Compute { at, .. } | Step::DataPass { at, .. } => (at, at, 0),
-        // Routing a fused step needs the world's program table
-        // (`MultiWorld::fused_route`); the drivers handle the variant
-        // before calling here.
-        Step::Fused(_) => unreachable!("fused steps route through MultiWorld::fused_route"),
-    }
-}
-
 /// Run one request's steps starting at virtual time `t0` with services
 /// mapped to cores by `map`. Returns the completion time and the merged
 /// IPC ledger of the request.
@@ -289,57 +241,22 @@ pub fn run_request(
     steps: &[Step],
     t0: u64,
 ) -> (u64, CycleLedger) {
-    let (done, ledger, _) = run_request_inner(mw, map, steps, t0, false);
+    let mut arena = LedgerArena::new();
+    let mut ledger = CycleLedger::new();
+    let mut step_ledger = CycleLedger::new();
+    let (done, _) = attribute(&mut Attribution::Full(&mut arena), 0, &mut ledger, |sink| {
+        run_request_sink(mw, map, steps, t0, false, &mut step_ledger, sink)
+    });
     (done, ledger)
 }
 
-/// [`run_request`] plus queue attribution and call counting: when
-/// `attribute_queue`, the wait each step spends behind its serving
-/// core's earlier work (`free_at - t`) is charged to [`Phase::Queue`]
-/// in the request ledger. Also returns the IPC calls the request made.
-fn run_request_inner(
-    mw: &mut MultiWorld,
-    map: &[CoreId],
-    steps: &[Step],
-    t0: u64,
-    attribute_queue: bool,
-) -> (u64, CycleLedger, u64) {
-    let mut t = t0;
-    let mut ledger = CycleLedger::new();
-    let mut ipc_calls = 0u64;
-    for step in steps {
-        if let Step::Fused(id) = step {
-            let (issuer, serving, calls) = mw.fused_route(*id, map);
-            if attribute_queue {
-                ledger.charge(Phase::Queue, mw.free_at(serving).saturating_sub(t));
-            }
-            let c = mw.exec_fused(issuer, *id, map, t);
-            ledger.merge(&c.inv.ledger);
-            ipc_calls += calls;
-            t = c.done;
-            continue;
-        }
-        let resolved = resolve_step(map, step);
-        let (issuer, serving, calls) = step_route(&resolved);
-        if attribute_queue {
-            ledger.charge(Phase::Queue, mw.free_at(serving).saturating_sub(t));
-        }
-        let c = mw.exec(issuer, resolved, t);
-        ledger.merge(&c.inv.ledger);
-        ipc_calls += calls;
-        t = c.done;
-    }
-    (t, ledger, ipc_calls)
-}
-
-/// Where one request's spans go on the zero-alloc path: always into the
-/// flat totals when sampling, and into an arena ledger when this request
-/// keeps span-level detail (every request in `Full` mode, 1-in-N in
-/// `Sampled`). Charge order through this sink matches the allocating
-/// path span for span.
+/// Where one request's spans go: always into the flat totals when
+/// sampling, and into an arena ledger when this request keeps
+/// span-level detail (every request in `Full` mode, 1-in-N in
+/// `Sampled`).
 pub(crate) struct ReqSink<'a> {
-    pub(crate) totals: Option<&'a mut PhaseTotals>,
-    pub(crate) arena: Option<(&'a mut LedgerArena, LedgerRef)>,
+    totals: Option<&'a mut PhaseTotals>,
+    arena: Option<(&'a mut LedgerArena, LedgerRef)>,
 }
 
 impl ReqSink<'_> {
@@ -362,10 +279,62 @@ impl ReqSink<'_> {
     }
 }
 
-/// Zero-alloc twin of [`run_request_inner`]: steps execute through
-/// [`MultiWorld::exec_into`] with `step_ledger` as scratch and the
-/// request's spans land in `sink`. Returns `(done, ipc_calls)`.
-/// Shared with the open-loop [`crate::serve`] engine.
+/// Run one request through `att`: `run` prices it into the
+/// [`ReqSink`] it is handed and returns `(done, ipc_calls)`. `sample` is
+/// the request's index in the sampling sequence (`Sampled` keeps the
+/// span ledger of every `every`-th). In `Full` mode the request's spans
+/// are folded into `report` in first-charge order and the arena is
+/// rolled back for reuse. Shared by the closed- and open-loop drivers.
+pub(crate) fn attribute(
+    att: &mut Attribution<'_>,
+    sample: u64,
+    report: &mut CycleLedger,
+    run: impl FnOnce(&mut ReqSink<'_>) -> (u64, u64),
+) -> (u64, u64) {
+    match att {
+        Attribution::Full(arena) => {
+            let mark = arena.mark();
+            let h = arena.begin();
+            let out = run(&mut ReqSink {
+                totals: None,
+                arena: Some((arena, h)),
+            });
+            for (p, cy) in arena.spans(h) {
+                report.charge(p, cy);
+            }
+            arena.truncate(mark);
+            out
+        }
+        Attribution::Sampled {
+            every,
+            totals,
+            arena,
+        } => {
+            let keep = *every != 0 && sample.is_multiple_of(*every);
+            let h = if keep { Some(arena.begin()) } else { None };
+            run(&mut ReqSink {
+                totals: Some(totals),
+                arena: h.map(|h| (&mut **arena, h)),
+            })
+        }
+    }
+}
+
+/// The report ledger of a finished run: `Full` mode's folded span
+/// ledger as is, `Sampled` mode's exact flat totals rendered in
+/// canonical [`Phase::ALL`] order.
+pub(crate) fn report_ledger(att: &Attribution<'_>, full: CycleLedger) -> CycleLedger {
+    match att {
+        Attribution::Full(_) => full,
+        Attribution::Sampled { totals, .. } => totals.to_ledger(),
+    }
+}
+
+/// Execute one request's steps through [`MultiWorld::exec_into`] with
+/// `step_ledger` as scratch, landing the request's spans in `sink`.
+/// When `attribute_queue`, the wait each step spends behind its serving
+/// core's earlier work is charged to [`Phase::Queue`] ahead of the
+/// step's own spans. Returns `(done, ipc_calls)`.
 pub(crate) fn run_request_sink(
     mw: &mut MultiWorld,
     map: &[CoreId],
@@ -377,29 +346,52 @@ pub(crate) fn run_request_sink(
 ) -> (u64, u64) {
     let mut t = t0;
     let mut ipc_calls = 0u64;
-    for step in steps {
-        if let Step::Fused(id) = step {
-            let (issuer, serving, calls) = mw.fused_route(*id, map);
-            if attribute_queue {
-                sink.charge(Phase::Queue, mw.free_at(serving).saturating_sub(t));
-            }
-            let done = mw.exec_fused_into(issuer, *id, map, t, step_ledger);
-            sink.merge(step_ledger);
-            ipc_calls += calls;
-            t = done;
-            continue;
-        }
-        let resolved = resolve_step(map, step);
-        let (issuer, serving, calls) = step_route(&resolved);
+    for &step in steps {
+        let c = mw.exec_into(step, map, t, step_ledger);
         if attribute_queue {
-            sink.charge(Phase::Queue, mw.free_at(serving).saturating_sub(t));
+            sink.charge(Phase::Queue, c.queued);
         }
-        let done = mw.exec_into(issuer, resolved, t, step_ledger);
         sink.merge(step_ledger);
-        ipc_calls += calls;
-        t = done;
+        ipc_calls += c.calls;
+        t = c.done;
     }
     (t, ipc_calls)
+}
+
+/// Reject the first step, across `recipes`, that names a service id
+/// outside `0..n_services` — a step field, or a registered program's
+/// client or hop.
+pub(crate) fn check_services(
+    mw: &MultiWorld,
+    recipes: &[Vec<Step>],
+    n_services: usize,
+) -> Result<(), LoadError> {
+    for (recipe, steps) in recipes.iter().enumerate() {
+        for (step, s) in steps.iter().enumerate() {
+            let service = match *s {
+                Step::Oneway { from, to, .. }
+                | Step::Batch { from, to, .. }
+                | Step::Roundtrip { from, to, .. } => from.max(to),
+                Step::Compute { at, .. } | Step::DataPass { at, .. } => at,
+                Step::Fused(id) => {
+                    let p = mw.program(id);
+                    p.hops()
+                        .iter()
+                        .map(|h| h.service)
+                        .fold(p.client(), usize::max)
+                }
+            };
+            if service >= n_services {
+                return Err(LoadError::ServiceOutOfRange {
+                    recipe,
+                    step,
+                    service,
+                    n_services,
+                });
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Reusable buffers for a load run, meant to be threaded across the
@@ -541,6 +533,7 @@ pub fn run_windowed_with(
     if window == 0 {
         return Err(LoadError::ZeroWindow);
     }
+    check_services(mw, recipes, n_services)?;
     let attribute_queue = window > 1;
     let mut rng = Rng::seed_from_u64(spec.seed);
     // Cross-cell hygiene: drop every buffer's contents (capacity kept)
@@ -572,54 +565,17 @@ pub fn run_windowed_with(
         let pick = usize::try_from(rng.below(recipes.len() as u64)).expect("index fits usize");
         let recipe = &recipes[pick];
         policy.assign_into(r, n_services, mw, &mut scratch.map)?;
-        let (done, calls) = match &mut att {
-            Attribution::Full(arena) => {
-                let mark = arena.mark();
-                let h = arena.begin();
-                let mut sink = ReqSink {
-                    totals: None,
-                    arena: Some((arena, h)),
-                };
-                let out = run_request_sink(
-                    mw,
-                    &scratch.map,
-                    recipe,
-                    t0,
-                    attribute_queue,
-                    &mut scratch.step_ledger,
-                    &mut sink,
-                );
-                // Fold the request's spans into the report ledger in
-                // first-charge order (what `merge(&req_ledger)` did),
-                // then roll the arena back for reuse.
-                for (p, cy) in arena.spans(h) {
-                    ledger.charge(p, cy);
-                }
-                arena.truncate(mark);
-                out
-            }
-            Attribution::Sampled {
-                every,
-                totals,
-                arena,
-            } => {
-                let keep = *every != 0 && r % *every == 0;
-                let h = if keep { Some(arena.begin()) } else { None };
-                let mut sink = ReqSink {
-                    totals: Some(totals),
-                    arena: h.map(|h| (&mut **arena, h)),
-                };
-                run_request_sink(
-                    mw,
-                    &scratch.map,
-                    recipe,
-                    t0,
-                    attribute_queue,
-                    &mut scratch.step_ledger,
-                    &mut sink,
-                )
-            }
-        };
+        let (done, calls) = attribute(&mut att, r, &mut ledger, |sink| {
+            run_request_sink(
+                mw,
+                &scratch.map,
+                recipe,
+                t0,
+                attribute_queue,
+                &mut scratch.step_ledger,
+                sink,
+            )
+        });
         ipc_calls += calls;
         scratch.latencies.push(done - t0);
         makespan = makespan.max(done);
@@ -634,9 +590,7 @@ pub fn run_windowed_with(
         };
         scratch.issue.push(Reverse((next_avail, c)));
     }
-    if let Attribution::Sampled { totals, .. } = &att {
-        ledger = totals.to_ledger();
-    }
+    let ledger = report_ledger(&att, ledger);
     scratch.latencies.sort_unstable();
     let latencies = &scratch.latencies;
     let clock_hz = mw.core(0).cost.clock_hz;
@@ -669,7 +623,7 @@ pub fn run_windowed_with(
 mod tests {
     use super::*;
     use crate::ipc::IpcSystem;
-    use crate::ledger::{Invocation, InvokeOpts};
+    use crate::ledger::InvokeOpts;
     use crate::topology::Topology;
 
     struct Fixed;
@@ -677,13 +631,15 @@ mod tests {
         fn name(&self) -> String {
             "fixed".into()
         }
-        fn oneway(&mut self, msg_len: usize, _opts: &InvokeOpts) -> Invocation {
-            Invocation::from_ledger(
-                CycleLedger::new()
-                    .with(Phase::Trap, 100)
-                    .with(Phase::Transfer, msg_len as u64),
-                msg_len as u64,
-            )
+        fn oneway_into(
+            &mut self,
+            msg_len: usize,
+            _opts: &InvokeOpts,
+            out: &mut CycleLedger,
+        ) -> u64 {
+            out.charge(Phase::Trap, 100);
+            out.charge(Phase::Transfer, msg_len as u64);
+            msg_len as u64
         }
     }
 
@@ -819,6 +775,56 @@ mod tests {
         .unwrap_err();
         assert_eq!(err, LoadError::EmptyRecipes);
         assert!(err.to_string().contains("empty recipe roster"));
+    }
+
+    #[test]
+    fn out_of_range_service_ids_are_typed_errors() {
+        // Unchecked, both would index the core map out of bounds mid-run:
+        // a step field naming service 3 of 3, and a program hop naming
+        // service 5.
+        let mut mw = mw(2);
+        let program = crate::program::Recipe::new(0)
+            .hop(1, 8)
+            .hop(5, 8)
+            .reply(8)
+            .build()
+            .unwrap();
+        let fused = vec![recipe()[0], Step::Fused(mw.register_program(program))];
+        let mut bad_step = recipe();
+        bad_step[2] = Step::Roundtrip {
+            from: 1,
+            to: 3,
+            request: 16,
+            response: 16,
+        };
+        let mut scratch = SweepScratch::new();
+        let mut arena = LedgerArena::new();
+        for (recipes, step, service) in [([recipe(), bad_step], 2, 3), ([recipe(), fused], 1, 5)] {
+            let err = run_windowed_with(
+                &mut mw,
+                &Placement::RoundRobin,
+                3,
+                &recipes,
+                &spec(),
+                1,
+                &mut scratch,
+                Attribution::Full(&mut arena),
+            )
+            .unwrap_err();
+            assert_eq!(
+                err,
+                LoadError::ServiceOutOfRange {
+                    recipe: 1,
+                    step,
+                    service,
+                    n_services: 3,
+                }
+            );
+            assert!(err
+                .to_string()
+                .contains(&format!("step {step}: service {service}")));
+        }
+        assert_eq!(mw.busy_cycles(), 0, "rejected before pricing anything");
     }
 
     #[test]
@@ -1095,8 +1101,19 @@ mod tests {
             let map = policy
                 .assign(r, n_services, mw)
                 .expect("placement rejected the core map");
-            let (done, req_ledger, _) = run_request_inner(mw, &map, recipe, t0, attribute_queue);
-            ledger.merge(&req_ledger);
+            let mut arena = LedgerArena::new();
+            let (done, _) = attribute(&mut Attribution::Full(&mut arena), r, &mut ledger, |sink| {
+                let mut step_ledger = CycleLedger::new();
+                run_request_sink(
+                    mw,
+                    &map,
+                    recipe,
+                    t0,
+                    attribute_queue,
+                    &mut step_ledger,
+                    sink,
+                )
+            });
             latencies.push(done - t0);
             makespan = makespan.max(done);
             outstanding[c].push(done + spec.think_cycles);

@@ -21,7 +21,8 @@
 //!   starts at `max(request_ready, core_free)`, and cross-core hops are
 //!   surcharged by distance. Built by [`MultiWorld::builder`], which
 //!   validates the core count against the topology; executed through the
-//!   unified [`MultiWorld::exec`] entry point (one [`Step`], one
+//!   one entry point [`MultiWorld::exec_into`] (one [`Step`] under a
+//!   service → core map, its spans charged into a caller's ledger, one
 //!   [`Completion`]). Cross-socket hops also resolve their x-entry from
 //!   the remote socket's shard ([`InvokeOpts::shard_dist`]), which
 //!   sharded-table systems price as [`Phase::ShardMiss`].
@@ -31,7 +32,7 @@
 
 use crate::cost::CostModel;
 use crate::ipc::{EngineCacheStats, IpcSystem};
-use crate::ledger::{CycleLedger, Invocation, InvokeOpts, Phase};
+use crate::ledger::{CycleLedger, InvokeOpts, Phase};
 use crate::program::{CallProgram, ProgramId, HANDOVER_DESC_BYTES};
 use crate::topology::Topology;
 use crate::world::World;
@@ -40,55 +41,44 @@ use std::fmt;
 /// Index of a core in a [`MultiWorld`].
 pub type CoreId = usize;
 
-/// One step of a request recipe. In recipe space (see [`crate::load`])
-/// the `from`/`to`/`at` fields are abstract *service* indices that a
-/// [`Placement`] maps to cores per request; [`MultiWorld::exec`] takes
-/// steps already resolved to core space. Each variant restates that
-/// contract for its own fields.
+/// One step of a request recipe. The `from`/`to`/`at` fields (and a
+/// fused program's `client`/`service` ids) are abstract *service*
+/// indices; [`MultiWorld::exec_into`] maps them to cores through the
+/// service → core map it is given (a [`Placement`] assignment in the
+/// load drivers, the identity map for callers already in core space).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
-    /// A one-way IPC from `from` to `to` carrying `bytes`.
-    ///
-    /// `from`/`to` are service indices in recipe space; by the time the
-    /// step reaches [`MultiWorld::exec`] both must be core ids (the
-    /// serving core is `to`, and `from` is superseded by `exec`'s
-    /// issuing-core argument).
+    /// A one-way IPC from `from` to `to` carrying `bytes`, served (and
+    /// charged) on `to`'s core.
     Oneway {
-        /// Sending service (recipe space) / issuing core (core space).
+        /// Sending service.
         from: usize,
-        /// Receiving and serving service (recipe space) / core (core
-        /// space).
+        /// Receiving and serving service.
         to: usize,
         /// Payload bytes.
         bytes: u64,
     },
     /// A burst of `calls` one-way IPCs from `from` to `to` submitted
-    /// together, priced by [`crate::ipc::IpcSystem::invoke_batch`]
-    /// (per-batch entry work amortized, per-call transfer not).
-    ///
-    /// `from`/`to` follow the same recipe-space → core-space contract as
-    /// [`Step::Oneway`]: service indices in a recipe, core ids at
-    /// [`MultiWorld::exec`], with `to` the serving core.
+    /// together, priced by [`IpcSystem::invoke_batch_into`] (per-batch
+    /// entry work amortized, per-call transfer not). Crossing cores pays
+    /// the full §5.2 surcharge *per call* — every delivery still raises
+    /// its own IPI and remote wakeup.
     Batch {
-        /// Sending service (recipe space) / issuing core (core space).
+        /// Sending service.
         from: usize,
-        /// Receiving and serving service (recipe space) / core (core
-        /// space).
+        /// Receiving and serving service.
         to: usize,
         /// Calls in the burst (>= 1).
         calls: u64,
         /// Payload bytes per call.
         bytes_each: u64,
     },
-    /// A synchronous round trip from `from` into `to`.
-    ///
-    /// `from`/`to` follow the same recipe-space → core-space contract as
-    /// [`Step::Oneway`]: at [`MultiWorld::exec`] the serving core `to`
+    /// A synchronous round trip from `from` into `to`: `to`'s core
     /// prices both legs and accrues the whole trip's busy time.
     Roundtrip {
-        /// Calling service (recipe space) / issuing core (core space).
+        /// Calling service.
         from: usize,
-        /// Serving service (recipe space) / core (core space).
+        /// Serving service.
         to: usize,
         /// Request payload bytes.
         request: u64,
@@ -96,24 +86,16 @@ pub enum Step {
         response: u64,
     },
     /// Fixed compute at a service.
-    ///
-    /// `at` is a service index in recipe space; at [`MultiWorld::exec`]
-    /// the cycles are clocked and charged on the *issuing core* argument
-    /// (`at` is not consulted — the resolver already routed the step).
     Compute {
-        /// Computing service (recipe space) / core (core space).
+        /// Computing service.
         at: usize,
         /// Cycles.
         cycles: u64,
     },
     /// One pass over data at a service (`intensity_x10 / 10` ×
     /// memcpy-grade cycles per byte).
-    ///
-    /// `at` follows the same contract as [`Step::Compute`]: recipe-space
-    /// service index, resolved to the issuing core by the time
-    /// [`MultiWorld::exec`] runs it.
     DataPass {
-        /// Computing service (recipe space) / core (core space).
+        /// Computing service.
         at: usize,
         /// Bytes touched.
         bytes: u64,
@@ -125,26 +107,23 @@ pub enum Step {
     /// once, executed server-side hop to hop without returning to the
     /// client, priced per the serving systems' own fusion mechanism
     /// ([`IpcSystem::fused_hop_into`]).
-    ///
-    /// The program's `client` and per-hop `service` ids live in recipe
-    /// space when the step sits in a recipe (the load/serve drivers map
-    /// them through the request's [`Placement`] assignment);
-    /// [`MultiWorld::exec`] resolves them with the *identity* map —
-    /// service id == core id — which is this variant's form of the
-    /// already-resolved-to-core-space contract.
     Fused(ProgramId),
 }
 
-/// The outcome of one executed [`Step`]: when it finished in virtual
-/// time, and the priced invocation it charged (an empty ledger for pure
-/// compute steps, which charge no IPC).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The outcome of one executed [`Step`] (its phase spans went to the
+/// caller's ledger).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
     /// Virtual time at which the step completed.
     pub done: u64,
-    /// The priced invocation (surcharges included); `Invocation::default()`
-    /// for [`Step::Compute`] / [`Step::DataPass`].
-    pub inv: Invocation,
+    /// Cycles the step waited behind earlier work on its serving core's
+    /// FIFO queue before starting.
+    pub queued: u64,
+    /// IPC invocations the step issued (a batch of n counts n, a fused
+    /// program one per hop, compute steps none).
+    pub calls: u64,
+    /// Payload bytes the mechanism copied (0 for handover and compute).
+    pub copied_bytes: u64,
 }
 
 /// The cross-core surcharge of §5.2, split into its physical parts and
@@ -253,10 +232,6 @@ impl CrossCore {
 impl IpcSystem for CrossCore {
     fn name(&self) -> String {
         format!("{}+xcore", self.inner.name())
-    }
-
-    fn oneway(&mut self, msg_len: usize, opts: &InvokeOpts) -> Invocation {
-        crate::ipc::oneway_invocation(self, msg_len, opts)
     }
 
     fn oneway_into(&mut self, msg_len: usize, opts: &InvokeOpts, out: &mut CycleLedger) -> u64 {
@@ -673,15 +648,6 @@ impl MultiWorld {
         self.cores.iter().map(|w| w.cycles).sum()
     }
 
-    /// Phase ledger merged over every core's IPC accounting.
-    pub fn merged_ledger(&self) -> CycleLedger {
-        let mut l = CycleLedger::new();
-        for w in &self.cores {
-            l.merge(&w.stats.ledger);
-        }
-        l
-    }
-
     /// Engine-cache counters summed over every core's system ([`None`]
     /// when no core models one).
     pub fn engine_cache_stats(&self) -> Option<EngineCacheStats> {
@@ -713,23 +679,9 @@ impl MultiWorld {
         self.programs.len()
     }
 
-    /// Route of a fused step under a service → core `map`:
-    /// `(client core, entry core, ipc calls)`. The entry core — the
-    /// first hop's — serves the whole program as one FIFO interval, and
-    /// the call count is the hop count (one `xcall`/kernel entry per
-    /// hop, however the mechanism prices it).
-    pub fn fused_route(&self, id: ProgramId, map: &[CoreId]) -> (CoreId, CoreId, u64) {
-        let p = &self.programs[id.index()];
-        let calls = u64::try_from(p.depth()).expect("hop count fits u64");
-        (map[p.client()], map[p.hops()[0].service], calls)
-    }
-
-    /// Shared fused-program pricing: charge every hop and the final
-    /// reply leg into `out` (accumulating), clock the entry core once
-    /// for the whole program, and return `(done, copied_bytes)`.
-    ///
-    /// `map` resolves the program's service ids to cores; `None` is the
-    /// identity map (ids already are core ids — `exec`'s contract).
+    /// Charge a fused program's hops and final reply leg into `out`
+    /// (accumulating), clock the entry core once for the whole program,
+    /// and return `(done, copied_bytes, calls)` — one call per hop.
     ///
     /// The model follows AnyCall's submit-once shape: the client issues
     /// one submission to the entry service, which drives the remaining
@@ -743,22 +695,16 @@ impl MultiWorld {
     /// [`HANDOVER_DESC_BYTES`] descriptor. A depth-1 program with no
     /// handover and no compute prices span-for-span identically to the
     /// equivalent [`Step::Roundtrip`].
-    fn fused_into_with(
+    fn fused_into(
         &mut self,
-        issuer: CoreId,
         id: ProgramId,
-        map: Option<&[CoreId]>,
+        map: &[CoreId],
         ready: u64,
         out: &mut CycleLedger,
-    ) -> (u64, u64) {
-        let core_of = |service: usize| -> CoreId {
-            match map {
-                Some(m) => m[service],
-                None => service,
-            }
-        };
-        let depth = self.programs[id.index()].depth();
-        let entry = core_of(self.programs[id.index()].hops()[0].service);
+    ) -> (u64, u64, u64) {
+        let p = &self.programs[id.index()];
+        let (issuer, depth, response) = (map[p.client()], p.depth(), p.response());
+        let entry = map[p.hops()[0].service];
         let mut prev = issuer;
         let mut copied = 0u64;
         let mut payload = 0u64;
@@ -766,7 +712,7 @@ impl MultiWorld {
         let mut calls = 0u64;
         for i in 0..depth {
             let hop = self.programs[id.index()].hops()[i];
-            let to = core_of(hop.service);
+            let to = map[hop.service];
             let bytes = if hop.handover && self.cores[to].handover() {
                 HANDOVER_DESC_BYTES.min(hop.request)
             } else {
@@ -774,57 +720,22 @@ impl MultiWorld {
             };
             let opts = self.shard_opts(prev, to, &InvokeOpts::call());
             copied += self.cores[to].price_fused_hop_into(calls, bytes, &opts, out);
-            self.surcharge_into(prev, to, bytes, 1, out);
+            self.surcharge(prev, to, bytes, 1, out);
             payload += bytes;
             compute += hop.compute;
             calls += 1;
             prev = to;
         }
-        let response = self.programs[id.index()].response();
         let reply_opts = self.shard_opts(issuer, prev, &InvokeOpts::reply_leg());
         copied += self.cores[prev].price_oneway_into(response, &reply_opts, out);
-        self.surcharge_into(issuer, prev, response, 1, out);
+        self.surcharge(issuer, prev, response, 1, out);
         payload += response;
         let done = self.clock(entry, ready, out.total() + compute);
         if compute > 0 {
             self.cores[entry].compute(compute);
         }
         self.cores[entry].charge_spans(calls, payload, out);
-        (done, copied)
-    }
-
-    /// Execute a registered program under an explicit service → core
-    /// `map` (the load/serve drivers' path — [`Step::Fused`] through
-    /// [`exec`](Self::exec) uses the identity map instead). `issuer` is
-    /// the client's core; returns the completion.
-    pub fn exec_fused(
-        &mut self,
-        issuer: CoreId,
-        id: ProgramId,
-        map: &[CoreId],
-        ready: u64,
-    ) -> Completion {
-        let mut ledger = CycleLedger::new();
-        let (done, copied) = self.fused_into_with(issuer, id, Some(map), ready, &mut ledger);
-        Completion {
-            done,
-            inv: Invocation::from_ledger(ledger, copied),
-        }
-    }
-
-    /// Zero-alloc twin of [`exec_fused`](Self::exec_fused): charge the
-    /// program's spans into `out` (cleared first) and return the
-    /// completion time.
-    pub fn exec_fused_into(
-        &mut self,
-        issuer: CoreId,
-        id: ProgramId,
-        map: &[CoreId],
-        ready: u64,
-        out: &mut CycleLedger,
-    ) -> u64 {
-        out.clear();
-        self.fused_into_with(issuer, id, Some(map), ready, out).0
+        (done, copied, calls)
     }
 
     /// Crossings-per-request the entry core's mechanism charges a fused
@@ -843,47 +754,11 @@ impl MultiWorld {
             .at_shard_distance(self.topo.core_distance(from, to))
     }
 
-    fn surcharge(
-        &self,
-        from: CoreId,
-        to: CoreId,
-        bytes: u64,
-        calls: u64,
-        inv: Invocation,
-    ) -> Invocation {
-        if from == to {
-            return inv;
-        }
-        let dist = self.topo.core_distance(from, to);
-        let extra = if self.cores[to].migrating_threads() {
-            let extra = calls * self.xc.migrating_hop_extra(bytes, dist);
-            if extra == 0 {
-                // Intra-socket xcall: the §5.2 free crossing — ledger
-                // untouched, exactly the historical single-socket path.
-                return inv;
-            }
-            extra
-        } else {
-            calls * self.xc.hop_extra_at(bytes, dist)
-        };
-        let mut ledger = inv.ledger;
-        ledger.charge(Phase::CrossCore, extra);
-        Invocation::from_ledger(ledger, inv.copied_bytes)
-    }
-
-    /// Sink-path [`surcharge`](Self::surcharge): charge the cross-core
-    /// extra for a `from → to` leg straight into `out`, replicating the
-    /// allocating path exactly — same-core legs and free intra-socket
-    /// migrating crossings leave the ledger untouched (no span), every
-    /// other crossing appends/accumulates a [`Phase::CrossCore`] span.
-    fn surcharge_into(
-        &self,
-        from: CoreId,
-        to: CoreId,
-        bytes: u64,
-        calls: u64,
-        out: &mut CycleLedger,
-    ) {
+    /// Charge the cross-core extra for a `from → to` leg of `calls`
+    /// calls into `out`: same-core legs and free intra-socket migrating
+    /// crossings leave the ledger untouched (no span), every other
+    /// crossing appends/accumulates a [`Phase::CrossCore`] span.
+    fn surcharge(&self, from: CoreId, to: CoreId, bytes: u64, calls: u64, out: &mut CycleLedger) {
         if from == to {
             return;
         }
@@ -907,275 +782,134 @@ impl MultiWorld {
         done
     }
 
-    /// The unified execution entry point: run one [`Step`] (already
-    /// resolved to core space) issued by `core` at virtual time `ready`.
-    ///
-    /// `core` is the step's origin — the client side of an IPC hop, or
-    /// the computing core itself. IPC steps serve (and charge) on the
-    /// core named by the step's `to` field; their `from`/`at` fields are
-    /// not consulted (the caller resolves services to cores, see
-    /// [`Placement::assign`]). Call legs are priced with
-    /// [`InvokeOpts::call`]; x-entry shard distance and cross-core
-    /// surcharges fall out of the topology.
-    pub fn exec(&mut self, core: CoreId, step: Step, ready: u64) -> Completion {
-        self.exec_opts(core, step, &InvokeOpts::call(), ready)
+    /// Clock `cycles` of compute on `core` and charge them as non-IPC
+    /// work; returns the completion time.
+    fn compute_on(&mut self, core: CoreId, ready: u64, cycles: u64) -> u64 {
+        let done = self.clock(core, ready, cycles);
+        self.cores[core].compute(cycles);
+        done
     }
 
-    /// [`exec`](Self::exec) with explicit call-leg options.
-    fn exec_opts(&mut self, core: CoreId, step: Step, opts: &InvokeOpts, ready: u64) -> Completion {
-        match step {
-            Step::Oneway { to, bytes, .. } => {
-                let opts = self.shard_opts(core, to, opts);
-                let inv = self.cores[to].price_oneway(bytes, &opts);
-                let inv = self.surcharge(core, to, bytes, 1, inv);
-                let done = self.clock(to, ready, inv.total);
-                self.cores[to].charge_invocation(bytes, inv.clone());
-                Completion { done, inv }
-            }
-            Step::Batch {
-                to,
-                calls,
-                bytes_each,
-                ..
-            } => {
-                let opts = self.shard_opts(core, to, opts);
-                let inv = self.cores[to].price_batch(calls, bytes_each, &opts);
-                let inv = self.surcharge(core, to, bytes_each, calls, inv);
-                let done = self.clock(to, ready, inv.total);
-                self.cores[to].charge_batch(calls, calls * bytes_each, inv.clone());
-                Completion { done, inv }
-            }
-            Step::Roundtrip {
-                to,
-                request,
-                response,
-                ..
-            } => {
-                let call_opts = self.shard_opts(core, to, opts);
-                let call = self.cores[to].price_oneway(request, &call_opts);
-                let call = self.surcharge(core, to, request, 1, call);
-                let reply_opts = self.shard_opts(core, to, &InvokeOpts::reply_leg());
-                let reply = self.cores[to].price_oneway(response, &reply_opts);
-                let reply = self.surcharge(core, to, response, 1, reply);
-                let inv = call.plus(reply);
-                let done = self.clock(to, ready, inv.total);
-                self.cores[to].charge_invocation(request + response, inv.clone());
-                Completion { done, inv }
-            }
-            Step::Compute { cycles, .. } => {
-                let done = self.clock(core, ready, cycles);
-                self.cores[core].compute(cycles);
-                Completion {
-                    done,
-                    inv: Invocation::default(),
-                }
-            }
-            Step::DataPass {
-                bytes,
-                intensity_x10,
-                ..
-            } => {
-                let cycles = self.cores[core].cost.copy_cycles(bytes) * intensity_x10 / 10;
-                let done = self.clock(core, ready, cycles);
-                self.cores[core].compute(cycles);
-                Completion {
-                    done,
-                    inv: Invocation::default(),
-                }
-            }
-            Step::Fused(id) => {
-                let mut ledger = CycleLedger::new();
-                let (done, copied) = self.fused_into_with(core, id, None, ready, &mut ledger);
-                Completion {
-                    done,
-                    inv: Invocation::from_ledger(ledger, copied),
-                }
-            }
-        }
+    /// Clock the IPC spans priced into `out` on serving core `to` and
+    /// charge them with `calls` invocations carrying `payload` bytes;
+    /// returns the completion time.
+    fn serve_spans(
+        &mut self,
+        to: CoreId,
+        ready: u64,
+        calls: u64,
+        payload: u64,
+        out: &CycleLedger,
+    ) -> u64 {
+        let done = self.clock(to, ready, out.total());
+        self.cores[to].charge_spans(calls, payload, out);
+        done
     }
 
-    /// Zero-alloc twin of [`exec`](Self::exec): run one [`Step`] and
-    /// charge its phase spans into `out` (cleared first) instead of
-    /// returning an [`Invocation`]. Returns the completion time.
+    /// The execution entry point: run one [`Step`] at virtual time
+    /// `ready`, resolving its service ids to cores through `map`
+    /// (core-space callers pass the identity map), and charge its IPC
+    /// phase spans into `out` (cleared first).
     ///
-    /// Produces span-for-span the same ledger `exec` would (surcharge
-    /// ordering included) while skipping the per-step `Invocation`
-    /// allocation and the per-world event histogram — the hot path of
-    /// the arena-backed load generators. Worlds are still clocked and
-    /// their scalar counters charged via [`World::charge_spans`].
+    /// IPC steps are issued from the core of their `from` service (a
+    /// fused program's `client`) and serve — and charge — on the core of
+    /// `to` (the first hop's service); compute steps run on the core of
+    /// `at`. Call legs are priced with [`InvokeOpts::call`], reply legs
+    /// with [`InvokeOpts::reply_leg`]; x-entry shard distance and
+    /// cross-core surcharges fall out of the topology. The step's world
+    /// is clocked and its scalar counters charged via
+    /// [`World::charge_spans`]; `out` is the only record of its spans.
     pub fn exec_into(
         &mut self,
-        core: CoreId,
         step: Step,
+        map: &[CoreId],
         ready: u64,
         out: &mut CycleLedger,
-    ) -> u64 {
+    ) -> Completion {
         out.clear();
-        let opts = InvokeOpts::call();
-        match step {
-            Step::Oneway { to, bytes, .. } => {
-                let opts = self.shard_opts(core, to, &opts);
-                self.cores[to].price_oneway_into(bytes, &opts, out);
-                self.surcharge_into(core, to, bytes, 1, out);
-                let done = self.clock(to, ready, out.total());
-                self.cores[to].charge_spans(1, bytes, out);
-                done
+        let serving = self.serving_core(&step, map);
+        let queued = self.free_at[serving].saturating_sub(ready);
+        let (done, copied_bytes, calls) = match step {
+            Step::Oneway { from, to, bytes } => {
+                let (from, to) = (map[from], map[to]);
+                let opts = self.shard_opts(from, to, &InvokeOpts::call());
+                let copied = self.cores[to].price_oneway_into(bytes, &opts, out);
+                self.surcharge(from, to, bytes, 1, out);
+                (self.serve_spans(to, ready, 1, bytes, out), copied, 1)
             }
             Step::Batch {
+                from,
                 to,
                 calls,
                 bytes_each,
-                ..
             } => {
-                let opts = self.shard_opts(core, to, &opts);
-                self.cores[to].price_batch_into(calls, bytes_each, &opts, out);
-                self.surcharge_into(core, to, bytes_each, calls, out);
-                let done = self.clock(to, ready, out.total());
-                self.cores[to].charge_spans(calls, calls * bytes_each, out);
-                done
+                let (from, to) = (map[from], map[to]);
+                let opts = self.shard_opts(from, to, &InvokeOpts::call());
+                let copied = self.cores[to].price_batch_into(calls, bytes_each, &opts, out);
+                self.surcharge(from, to, bytes_each, calls, out);
+                let done = self.serve_spans(to, ready, calls, calls * bytes_each, out);
+                (done, copied, calls)
             }
             Step::Roundtrip {
+                from,
                 to,
                 request,
                 response,
-                ..
             } => {
-                // Sequential charging into one sink reproduces
-                // `call.plus(reply)` exactly: first-occurrence span order
-                // is call spans, call surcharge, then reply-only spans.
-                let call_opts = self.shard_opts(core, to, &opts);
-                self.cores[to].price_oneway_into(request, &call_opts, out);
-                self.surcharge_into(core, to, request, 1, out);
-                let reply_opts = self.shard_opts(core, to, &InvokeOpts::reply_leg());
-                self.cores[to].price_oneway_into(response, &reply_opts, out);
-                self.surcharge_into(core, to, response, 1, out);
-                let done = self.clock(to, ready, out.total());
-                self.cores[to].charge_spans(1, request + response, out);
-                done
+                // Sequential charging into one sink: call spans, call
+                // surcharge, then reply-only spans, in first-charge order.
+                let (from, to) = (map[from], map[to]);
+                let call_opts = self.shard_opts(from, to, &InvokeOpts::call());
+                let mut copied = self.cores[to].price_oneway_into(request, &call_opts, out);
+                self.surcharge(from, to, request, 1, out);
+                let reply_opts = self.shard_opts(from, to, &InvokeOpts::reply_leg());
+                copied += self.cores[to].price_oneway_into(response, &reply_opts, out);
+                self.surcharge(from, to, response, 1, out);
+                (
+                    self.serve_spans(to, ready, 1, request + response, out),
+                    copied,
+                    1,
+                )
             }
-            Step::Compute { cycles, .. } => {
-                let done = self.clock(core, ready, cycles);
-                self.cores[core].compute(cycles);
-                done
-            }
+            Step::Compute { at, cycles } => (self.compute_on(map[at], ready, cycles), 0, 0),
             Step::DataPass {
+                at,
                 bytes,
                 intensity_x10,
-                ..
             } => {
-                let cycles = self.cores[core].cost.copy_cycles(bytes) * intensity_x10 / 10;
-                let done = self.clock(core, ready, cycles);
-                self.cores[core].compute(cycles);
-                done
+                let at = map[at];
+                let cycles = self.cores[at].cost.copy_cycles(bytes) * intensity_x10 / 10;
+                (self.compute_on(at, ready, cycles), 0, 0)
             }
-            Step::Fused(id) => self.fused_into_with(core, id, None, ready, out).0,
+            Step::Fused(id) => self.fused_into(id, map, ready, out),
+        };
+        Completion {
+            done,
+            queued,
+            calls,
+            copied_bytes,
         }
     }
 
-    /// One one-way hop from `from`'s core to `to`'s core at virtual time
-    /// `ready`, served (and charged) at `to`. Returns the completion time
-    /// and the priced invocation (cross-core surcharge included). Thin
-    /// wrapper over [`exec`](Self::exec).
-    pub fn exec_oneway(
-        &mut self,
-        from: CoreId,
-        to: CoreId,
-        bytes: u64,
-        opts: &InvokeOpts,
-        ready: u64,
-    ) -> (u64, Invocation) {
-        let c = self.exec_opts(from, Step::Oneway { from, to, bytes }, opts, ready);
-        (c.done, c.inv)
-    }
-
-    /// A burst of `calls` one-way hops of `bytes_each` from `from`'s
-    /// core into `to`'s core submitted together at `ready` (see
-    /// [`IpcSystem::invoke_batch`]): the serving core's system amortizes
-    /// its per-batch work; crossing cores pays the full §5.2 surcharge
-    /// *per call* — every delivery still raises its own IPI and remote
-    /// wakeup, batching amortizes none of that. Thin wrapper over
-    /// [`exec`](Self::exec).
-    pub fn exec_batch(
-        &mut self,
-        from: CoreId,
-        to: CoreId,
-        calls: u64,
-        bytes_each: u64,
-        opts: &InvokeOpts,
-        ready: u64,
-    ) -> (u64, Invocation) {
-        let c = self.exec_opts(
-            from,
-            Step::Batch {
-                from,
-                to,
-                calls,
-                bytes_each,
-            },
-            opts,
-            ready,
-        );
-        (c.done, c.inv)
-    }
-
-    /// A synchronous round trip from `from`'s core into `to`'s core: both
-    /// legs priced by the serving core's system, each leg surcharged when
-    /// the call crosses cores, the serving core busy for the whole trip.
-    /// Thin wrapper over [`exec`](Self::exec).
-    pub fn exec_roundtrip(
-        &mut self,
-        from: CoreId,
-        to: CoreId,
-        request: u64,
-        response: u64,
-        ready: u64,
-    ) -> (u64, Invocation) {
-        let c = self.exec(
-            from,
-            Step::Roundtrip {
-                from,
-                to,
-                request,
-                response,
-            },
-            ready,
-        );
-        (c.done, c.inv)
-    }
-
-    /// Compute at `core`, starting no earlier than `ready`. Thin wrapper
-    /// over [`exec`](Self::exec).
-    pub fn exec_compute(&mut self, core: CoreId, cycles: u64, ready: u64) -> u64 {
-        self.exec(core, Step::Compute { at: core, cycles }, ready)
-            .done
-    }
-
-    /// One pass over `bytes` of data at `core` (memcpy-grade work scaled
-    /// by `intensity_x10 / 10`), starting no earlier than `ready`. Thin
-    /// wrapper over [`exec`](Self::exec).
-    pub fn exec_data_pass(
-        &mut self,
-        core: CoreId,
-        bytes: u64,
-        intensity_x10: u64,
-        ready: u64,
-    ) -> u64 {
-        self.exec(
-            core,
-            Step::DataPass {
-                at: core,
-                bytes,
-                intensity_x10,
-            },
-            ready,
-        )
-        .done
+    /// The core whose FIFO queue `step` waits on under `map`: an IPC
+    /// step's serving core, a fused program's entry core, a compute
+    /// step's own core.
+    fn serving_core(&self, step: &Step, map: &[CoreId]) -> CoreId {
+        match *step {
+            Step::Oneway { to, .. } | Step::Batch { to, .. } | Step::Roundtrip { to, .. } => {
+                map[to]
+            }
+            Step::Compute { at, .. } | Step::DataPass { at, .. } => map[at],
+            Step::Fused(id) => map[self.programs[id.index()].hops()[0].service],
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ipc::{invoke_batch, oneway};
+    use crate::ledger::Invocation;
 
     struct Fixed {
         base: u64,
@@ -1186,13 +920,15 @@ mod tests {
         fn name(&self) -> String {
             "fixed".into()
         }
-        fn oneway(&mut self, msg_len: usize, _opts: &InvokeOpts) -> Invocation {
-            Invocation::from_ledger(
-                CycleLedger::new()
-                    .with(Phase::Trap, self.base)
-                    .with(Phase::Transfer, msg_len as u64),
-                msg_len as u64,
-            )
+        fn oneway_into(
+            &mut self,
+            msg_len: usize,
+            _opts: &InvokeOpts,
+            out: &mut CycleLedger,
+        ) -> u64 {
+            out.charge(Phase::Trap, self.base);
+            out.charge(Phase::Transfer, msg_len as u64);
+            msg_len as u64
         }
         fn migrating_threads(&self) -> bool {
             self.migrating
@@ -1219,11 +955,30 @@ mod tests {
             .build(fixed)
     }
 
+    /// Core space: service `i` runs on core `i`.
+    const IDS: [CoreId; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
+
+    /// Run `step` in core space; its completion time and its spans as
+    /// an invocation.
+    fn exec(mw: &mut MultiWorld, step: Step, ready: u64) -> (u64, Invocation) {
+        let mut out = CycleLedger::new();
+        let c = mw.exec_into(step, &IDS, ready, &mut out);
+        (c.done, Invocation::from_ledger(out, c.copied_bytes))
+    }
+
+    fn hop(mw: &mut MultiWorld, to: CoreId, bytes: u64) -> Invocation {
+        exec(mw, Step::Oneway { from: 0, to, bytes }, 0).1
+    }
+
+    fn compute(mw: &mut MultiWorld, at: CoreId, cycles: u64) -> u64 {
+        exec(mw, Step::Compute { at, cycles }, 0).0
+    }
+
     #[test]
     fn adapter_adds_the_surcharge_into_the_ledger() {
         let mut cc = CrossCore::new(fixed());
         for bytes in [0usize, 64, 4096] {
-            let inv = cc.oneway(bytes, &InvokeOpts::call());
+            let inv = oneway(&mut cc, bytes, &InvokeOpts::call());
             let expect = XCoreCost::u500().hop_extra(bytes as u64);
             assert_eq!(inv.ledger.get(Phase::CrossCore), expect);
             assert_eq!(inv.total, inv.ledger.total());
@@ -1235,7 +990,7 @@ mod tests {
     #[test]
     fn migrating_systems_cross_for_free() {
         let mut cc = CrossCore::new(migrating());
-        let inv = cc.oneway(4096, &InvokeOpts::call());
+        let inv = oneway(&mut cc, 4096, &InvokeOpts::call());
         assert_eq!(inv.ledger.get(Phase::CrossCore), 0);
         // The zero-cost span is still recorded: the hop *did* cross.
         assert!(inv
@@ -1275,10 +1030,18 @@ mod tests {
     #[test]
     fn same_core_hops_pay_no_surcharge() {
         let mut mw = world(2);
-        let (done, inv) = mw.exec_oneway(0, 0, 64, &InvokeOpts::call(), 0);
+        let (done, inv) = exec(
+            &mut mw,
+            Step::Oneway {
+                from: 0,
+                to: 0,
+                bytes: 64,
+            },
+            0,
+        );
         assert_eq!(inv.ledger.get(Phase::CrossCore), 0);
         assert_eq!(done, 164);
-        let (_, inv) = mw.exec_oneway(0, 1, 64, &InvokeOpts::call(), 0);
+        let inv = hop(&mut mw, 1, 64);
         assert_eq!(
             inv.ledger.get(Phase::CrossCore),
             XCoreCost::u500().hop_extra(64)
@@ -1291,13 +1054,13 @@ mod tests {
             .topology(Topology::dual_socket())
             .build(fixed);
         // Intra-socket (0 → 1): flat surcharge.
-        let (_, local) = mw.exec_oneway(0, 1, 64, &InvokeOpts::call(), 0);
+        let local = hop(&mut mw, 1, 64);
         assert_eq!(
             local.ledger.get(Phase::CrossCore),
             XCoreCost::u500().hop_extra(64)
         );
         // Cross-socket (0 → 4): distance-2 surcharge, 2x at numa_x10 = 5.
-        let (_, remote) = mw.exec_oneway(0, 4, 64, &InvokeOpts::call(), 0);
+        let remote = hop(&mut mw, 4, 64);
         assert_eq!(
             remote.ledger.get(Phase::CrossCore),
             2 * XCoreCost::u500().hop_extra(64)
@@ -1311,21 +1074,21 @@ mod tests {
             .topology(Topology::dual_socket())
             .build(migrating);
         // Intra-socket: completely free, no CrossCore span at all.
-        let (_, local) = mw.exec_oneway(0, 3, 4096, &InvokeOpts::call(), 0);
+        let local = hop(&mut mw, 3, 4096);
         assert!(!local
             .ledger
             .spans()
             .iter()
             .any(|(p, _)| *p == Phase::CrossCore));
         // Cross-socket: only the cache-line distance term.
-        let (_, remote) = mw.exec_oneway(0, 4, 4096, &InvokeOpts::call(), 0);
+        let remote = hop(&mut mw, 4, 4096);
         assert_eq!(
             remote.ledger.get(Phase::CrossCore),
             XCoreCost::u500().migrating_hop_extra(4096, 2)
         );
         // A zero-byte migrating hop stays free even across sockets (the
         // generic `Fixed` models no x-entry shard).
-        let (_, zero) = mw.exec_oneway(0, 4, 0, &InvokeOpts::call(), 0);
+        let zero = hop(&mut mw, 4, 0);
         assert_eq!(zero.ledger.get(Phase::CrossCore), 0);
     }
 
@@ -1366,10 +1129,10 @@ mod tests {
             .unwrap();
         let mut fused = world(2);
         let id = fused.register_program(program);
-        let c_fused = fused.exec(0, Step::Fused(id), 0);
+        let c_fused = exec(&mut fused, Step::Fused(id), 0);
         let mut plain = world(2);
-        let c_plain = plain.exec(
-            0,
+        let c_plain = exec(
+            &mut plain,
             Step::Roundtrip {
                 from: 0,
                 to: 1,
@@ -1378,36 +1141,68 @@ mod tests {
             },
             0,
         );
-        assert_eq!(c_fused.done, c_plain.done);
-        assert_eq!(c_fused.inv.ledger, c_plain.inv.ledger);
-        assert_eq!(c_fused.inv.total, c_plain.inv.total);
+        assert_eq!(c_fused, c_plain);
         assert_eq!(fused.core(1).cycles, plain.core(1).cycles);
         assert_eq!(fused.core(1).stats.ipc_count, 1);
     }
 
     #[test]
-    fn fused_exec_into_matches_fused_exec() {
-        let program = crate::program::Recipe::new(0)
-            .hop(1, 64)
-            .compute(200)
-            .hop(2, 128)
-            .reply(16)
-            .build()
-            .unwrap();
-        let mut a = world(3);
-        let id_a = a.register_program(program.clone());
-        let c = a.exec(0, Step::Fused(id_a), 0);
-        let mut b = world(3);
-        let id_b = b.register_program(program);
-        let mut out = CycleLedger::new();
-        let done = b.exec_into(0, Step::Fused(id_b), 0, &mut out);
-        assert_eq!(done, c.done);
-        assert_eq!(out, c.inv.ledger);
-        // The identity-map exec and the explicit identity map agree.
-        let mut d = world(3);
-        let id_d = d.register_program(b.program(id_b).clone());
-        let c_mapped = d.exec_fused(0, id_d, &[0, 1, 2], 0);
-        assert_eq!(c_mapped, c);
+    fn the_service_map_resolves_every_step_variant() {
+        // Service 1 lives on core 2 and service 2 on core 1: every
+        // variant, the fused program included, must price and clock
+        // exactly like its core-space twin with the ids swapped.
+        let swapped = [0, 2, 1];
+        let program = |a, b| {
+            crate::program::Recipe::new(0)
+                .hop(a, 64)
+                .compute(200)
+                .hop(b, 128)
+                .reply(16)
+                .build()
+                .unwrap()
+        };
+        let steps = |a, b| {
+            [
+                Step::Oneway {
+                    from: 0,
+                    to: a,
+                    bytes: 64,
+                },
+                Step::Batch {
+                    from: a,
+                    to: b,
+                    calls: 3,
+                    bytes_each: 16,
+                },
+                Step::Roundtrip {
+                    from: b,
+                    to: a,
+                    request: 10,
+                    response: 20,
+                },
+                Step::Compute { at: a, cycles: 50 },
+                Step::DataPass {
+                    at: b,
+                    bytes: 4096,
+                    intensity_x10: 10,
+                },
+            ]
+        };
+        let mut mapped = world(3);
+        let mut core_space = world(3);
+        let fused_mapped = Step::Fused(mapped.register_program(program(1, 2)));
+        let fused_core = Step::Fused(core_space.register_program(program(2, 1)));
+        let (mut a, mut b) = (CycleLedger::new(), CycleLedger::new());
+        let pairs = steps(1, 2).into_iter().zip(steps(2, 1));
+        for (m, c) in pairs.chain([(fused_mapped, fused_core)]) {
+            let cm = mapped.exec_into(m, &swapped, 0, &mut a);
+            let cc = core_space.exec_into(c, &IDS, 0, &mut b);
+            assert_eq!((cm, &a), (cc, &b), "{m:?}");
+        }
+        for core in 0..3 {
+            assert_eq!(mapped.free_at(core), core_space.free_at(core));
+            assert_eq!(mapped.core(core).cycles, core_space.core(core).cycles);
+        }
     }
 
     #[test]
@@ -1421,11 +1216,11 @@ mod tests {
             .unwrap();
         let mut mw = world(3);
         let id = mw.register_program(program);
-        let (client, entry, calls) = mw.fused_route(id, &[0, 1, 2]);
-        assert_eq!((client, entry, calls), (0, 1, 3));
-        let c = mw.exec(0, Step::Fused(id), 0);
+        let mut out = CycleLedger::new();
+        let c = mw.exec_into(Step::Fused(id), &IDS, 0, &mut out);
+        assert_eq!(c.calls, 3, "one call per hop");
         // All busy time (and the 3 ipc calls) land on the entry core.
-        assert_eq!(mw.core(1).cycles, c.inv.total);
+        assert_eq!(mw.core(1).cycles, out.total());
         assert_eq!(mw.core(1).stats.ipc_count, 3);
         assert_eq!(mw.core(2).cycles, 0);
         assert_eq!(mw.free_at(1), c.done);
@@ -1447,12 +1242,12 @@ mod tests {
             .unwrap();
         let mut a = world(2);
         let id = a.register_program(with_compute);
-        let ca = a.exec(0, Step::Fused(id), 0);
+        let ca = exec(&mut a, Step::Fused(id), 0);
         let mut b = world(2);
         let id = b.register_program(without);
-        let cb = b.exec(0, Step::Fused(id), 0);
-        assert_eq!(ca.inv.ledger, cb.inv.ledger, "compute is not IPC");
-        assert_eq!(ca.done, cb.done + 500);
+        let cb = exec(&mut b, Step::Fused(id), 0);
+        assert_eq!(ca.1, cb.1, "compute is not IPC");
+        assert_eq!(ca.0, cb.0 + 500);
         assert_eq!(a.core(1).stats.other_cycles, 500);
     }
 
@@ -1468,21 +1263,23 @@ mod tests {
         // copies all 4096 bytes...
         let mut plain = world(2);
         let id = plain.register_program(program.clone());
-        let c = plain.exec(0, Step::Fused(id), 0);
-        assert_eq!(c.inv.ledger.get(Phase::Transfer), 4096);
+        let (_, inv) = exec(&mut plain, Step::Fused(id), 0);
+        assert_eq!(inv.ledger.get(Phase::Transfer), 4096);
         // ...and a handover-capable system moves only the descriptor.
         struct HandFixed;
         impl IpcSystem for HandFixed {
             fn name(&self) -> String {
                 "hand-fixed".into()
             }
-            fn oneway(&mut self, msg_len: usize, _opts: &InvokeOpts) -> Invocation {
-                Invocation::from_ledger(
-                    CycleLedger::new()
-                        .with(Phase::Trap, 100)
-                        .with(Phase::Transfer, msg_len as u64),
-                    msg_len as u64,
-                )
+            fn oneway_into(
+                &mut self,
+                msg_len: usize,
+                _opts: &InvokeOpts,
+                out: &mut CycleLedger,
+            ) -> u64 {
+                out.charge(Phase::Trap, 100);
+                out.charge(Phase::Transfer, msg_len as u64);
+                msg_len as u64
             }
             fn supports_handover(&self) -> bool {
                 true
@@ -1492,31 +1289,12 @@ mod tests {
             .topology(Topology::single_socket(2))
             .build(|| Box::new(HandFixed));
         let id = hand.register_program(program);
-        let c = hand.exec(0, Step::Fused(id), 0);
+        let (_, inv) = exec(&mut hand, Step::Fused(id), 0);
         assert_eq!(
-            c.inv.ledger.get(Phase::Transfer),
+            inv.ledger.get(Phase::Transfer),
             HANDOVER_DESC_BYTES,
             "the relay segment carries the payload; only the descriptor moves"
         );
-    }
-
-    #[test]
-    fn unified_exec_matches_the_wrappers() {
-        let step = Step::Roundtrip {
-            from: 0,
-            to: 1,
-            request: 10,
-            response: 20,
-        };
-        let mut a = world(2);
-        let c = a.exec(0, step, 0);
-        let mut b = world(2);
-        let (done, inv) = b.exec_roundtrip(0, 1, 10, 20, 0);
-        assert_eq!((c.done, c.inv), (done, inv));
-        // Compute steps complete with an empty invocation.
-        let c = a.exec(1, Step::Compute { at: 1, cycles: 50 }, 0);
-        assert_eq!(c.inv, Invocation::default());
-        assert_eq!(c.done, a.free_at(1));
     }
 
     #[test]
@@ -1524,10 +1302,16 @@ mod tests {
         let mut mw = world(2);
         // Two 100-cycle computes both ready at t=0 on core 0: the second
         // queues behind the first.
-        assert_eq!(mw.exec_compute(0, 100, 0), 100);
-        assert_eq!(mw.exec_compute(0, 100, 0), 200);
+        assert_eq!(compute(&mut mw, 0, 100), 100);
+        let mut out = CycleLedger::new();
+        let c = mw.exec_into(Step::Compute { at: 0, cycles: 100 }, &IDS, 0, &mut out);
+        assert_eq!(
+            (c.done, c.queued, c.calls, c.copied_bytes),
+            (200, 100, 0, 0)
+        );
+        assert!(out.is_empty(), "compute charges no IPC spans");
         // A third on core 1 runs immediately.
-        assert_eq!(mw.exec_compute(1, 100, 0), 100);
+        assert_eq!(compute(&mut mw, 1, 100), 100);
         assert_eq!(mw.free_at(0), 200);
         assert_eq!(mw.busy_cycles(), 300);
     }
@@ -1535,10 +1319,10 @@ mod tests {
     #[test]
     fn least_loaded_prefers_the_idle_core() {
         let mut mw = world(3);
-        mw.exec_compute(0, 500, 0);
-        mw.exec_compute(1, 200, 0);
+        compute(&mut mw, 0, 500);
+        compute(&mut mw, 1, 200);
         assert_eq!(mw.least_loaded(), 2);
-        mw.exec_compute(2, 900, 0);
+        compute(&mut mw, 2, 900);
         assert_eq!(mw.least_loaded(), 1);
     }
 
@@ -1552,13 +1336,13 @@ mod tests {
         // Load up socket 0 lightly: the remote socket is idle but must
         // beat the local queue by more than its distance penalty.
         for c in 0..4 {
-            mw.exec_compute(c, 10, 0);
+            compute(&mut mw, c, 10);
         }
         assert_eq!(mw.least_loaded_weighted(), 0, "10 cycles < the penalty");
         assert_eq!(mw.least_loaded(), 4, "the naive policy jumps sockets");
         // Pile enough work on socket 0 and the remote socket pays off.
         for c in 0..4 {
-            mw.exec_compute(c, 1_000_000, 0);
+            compute(&mut mw, c, 1_000_000);
         }
         assert_eq!(mw.least_loaded_weighted(), 4);
     }
@@ -1596,7 +1380,7 @@ mod tests {
         // Regression: the 1-core/many-services corner must map every
         // service (and every policy) to core 0, never out of range.
         let mut mw = world(1);
-        mw.exec_compute(0, 100, 0);
+        compute(&mut mw, 0, 100);
         for policy in [
             Placement::SameCore,
             Placement::Pinned(vec![7, 3, 9, 2, 11]),
@@ -1622,7 +1406,13 @@ mod tests {
         // and crossing cores must still pay n full surcharges.
         let mut mw = world(2);
         let n = 8u64;
-        let (_, inv) = mw.exec_batch(0, 1, n, 64, &InvokeOpts::call(), 0);
+        let batch = |to| Step::Batch {
+            from: 0,
+            to,
+            calls: n,
+            bytes_each: 64,
+        };
+        let (_, inv) = exec(&mut mw, batch(1), 0);
         assert_eq!(
             inv.ledger.get(Phase::CrossCore),
             n * XCoreCost::u500().hop_extra(64)
@@ -1630,14 +1420,14 @@ mod tests {
         assert_eq!(inv.total, n * (100 + 64 + XCoreCost::u500().hop_extra(64)));
         assert_eq!(mw.core(1).stats.ipc_count, n);
         // Same-core batches pay none.
-        let (_, inv) = mw.exec_batch(0, 0, n, 64, &InvokeOpts::call(), 0);
+        let (_, inv) = exec(&mut mw, batch(0), 0);
         assert_eq!(inv.ledger.get(Phase::CrossCore), 0);
     }
 
     #[test]
     fn cross_core_adapter_batches_like_the_multiworld() {
         let mut cc = CrossCore::new(fixed());
-        let inv = cc.invoke_batch(4, 16, &InvokeOpts::call());
+        let inv = invoke_batch(&mut cc, 4, 16, &InvokeOpts::call());
         assert_eq!(
             inv.ledger.get(Phase::CrossCore),
             4 * XCoreCost::u500().hop_extra(16)
@@ -1649,7 +1439,13 @@ mod tests {
     #[test]
     fn roundtrip_charges_the_serving_core() {
         let mut mw = world(2);
-        let (done, inv) = mw.exec_roundtrip(0, 1, 10, 20, 0);
+        let step = Step::Roundtrip {
+            from: 0,
+            to: 1,
+            request: 10,
+            response: 20,
+        };
+        let (done, inv) = exec(&mut mw, step, 0);
         // Two legs of 100 + bytes, each surcharged.
         let extra = XCoreCost::u500();
         let expect = 100 + 10 + extra.hop_extra(10) + 100 + 20 + extra.hop_extra(20);
@@ -1657,6 +1453,5 @@ mod tests {
         assert_eq!(done, expect);
         assert_eq!(mw.core(1).cycles, expect);
         assert_eq!(mw.core(0).cycles, 0);
-        assert_eq!(mw.merged_ledger().total(), expect);
     }
 }

@@ -49,7 +49,9 @@
 
 use crate::ipc::EngineCacheStats;
 use crate::ledger::{Attribution, CycleLedger, LedgerArena, Phase};
-use crate::load::{percentile, run_request_sink, LoadError, ReqSink};
+use crate::load::{
+    attribute, check_services, percentile, report_ledger, run_request_sink, LoadError,
+};
 use crate::multicore::{CoreId, MultiWorld, Placement, Step};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -745,6 +747,7 @@ pub fn serve_with(
     if trace.is_empty() {
         return Err(ServeError::EmptyTrace);
     }
+    check_services(mw, recipes, n_services)?;
     if spec.tenants == 0 {
         return Err(ServeError::NoTenants);
     }
@@ -892,51 +895,17 @@ pub fn serve_with(
         // landing exactly as on the closed-loop hot path. Queue waiting
         // is always attributed — an open loop's whole point is that the
         // wait behind earlier work is visible, not folded away.
-        let (done, calls) = match &mut att {
-            Attribution::Full(arena) => {
-                let mark = arena.mark();
-                let h = arena.begin();
-                let mut sink = ReqSink {
-                    totals: None,
-                    arena: Some((arena, h)),
-                };
-                let out = run_request_sink(
-                    mw,
-                    &scratch.map,
-                    recipe,
-                    t,
-                    true,
-                    &mut scratch.step_ledger,
-                    &mut sink,
-                );
-                for (p, cy) in arena.spans(h) {
-                    ledger.charge(p, cy);
-                }
-                arena.truncate(mark);
-                out
-            }
-            Attribution::Sampled {
-                every,
-                totals,
-                arena,
-            } => {
-                let keep = *every != 0 && admitted_total.is_multiple_of(*every);
-                let h = if keep { Some(arena.begin()) } else { None };
-                let mut sink = ReqSink {
-                    totals: Some(totals),
-                    arena: h.map(|h| (&mut **arena, h)),
-                };
-                run_request_sink(
-                    mw,
-                    &scratch.map,
-                    recipe,
-                    t,
-                    true,
-                    &mut scratch.step_ledger,
-                    &mut sink,
-                )
-            }
-        };
+        let (done, calls) = attribute(&mut att, admitted_total, &mut ledger, |sink| {
+            run_request_sink(
+                mw,
+                &scratch.map,
+                recipe,
+                t,
+                true,
+                &mut scratch.step_ledger,
+                sink,
+            )
+        });
         admitted[tenant] += 1;
         admitted_total += 1;
         ipc_calls += calls;
@@ -946,9 +915,7 @@ pub fn serve_with(
         makespan = makespan.max(done);
         scratch.outstanding[tenant].push(Reverse(done));
     }
-    if let Attribution::Sampled { totals, .. } = &att {
-        ledger = totals.to_ledger();
-    }
+    let ledger = report_ledger(&att, ledger);
     scratch.latencies.sort_unstable();
     let clock_hz = mw.core(0).cost.clock_hz;
     let to_us = |cycles: f64| cycles / clock_hz as f64 * 1e6;
@@ -1015,7 +982,7 @@ pub fn serve_with(
 mod tests {
     use super::*;
     use crate::ipc::IpcSystem;
-    use crate::ledger::{Invocation, InvokeOpts, PhaseTotals};
+    use crate::ledger::{InvokeOpts, PhaseTotals};
     use crate::topology::Topology;
 
     struct Fixed;
@@ -1023,13 +990,15 @@ mod tests {
         fn name(&self) -> String {
             "fixed".into()
         }
-        fn oneway(&mut self, msg_len: usize, _opts: &InvokeOpts) -> Invocation {
-            Invocation::from_ledger(
-                CycleLedger::new()
-                    .with(Phase::Trap, 100)
-                    .with(Phase::Transfer, msg_len as u64),
-                msg_len as u64,
-            )
+        fn oneway_into(
+            &mut self,
+            msg_len: usize,
+            _opts: &InvokeOpts,
+            out: &mut CycleLedger,
+        ) -> u64 {
+            out.charge(Phase::Trap, 100);
+            out.charge(Phase::Transfer, msg_len as u64);
+            msg_len as u64
         }
     }
 
@@ -1440,6 +1409,23 @@ mod tests {
             serve(&mut world, &policy, 2, &[recipe()], &bad, &spec2()).unwrap_err(),
             ServeError::RecipeOutOfRange { .. }
         ));
+        // Service out of range: recipe 1 names service 2 of 2 (and the
+        // two-recipe trace would reach it).
+        let mut far = recipe();
+        far[2] = Step::Oneway {
+            from: 2,
+            to: 0,
+            bytes: 8,
+        };
+        assert_eq!(
+            serve(&mut world, &policy, 2, &[recipe(), far], &bad, &spec2()).unwrap_err(),
+            ServeError::Load(LoadError::ServiceOutOfRange {
+                recipe: 1,
+                step: 2,
+                service: 2,
+                n_services: 2,
+            })
+        );
         // Tenant out of range: 2-tenant trace, 1-tenant spec.
         let spec1 = ServeSpec {
             tenants: 1,

@@ -8,7 +8,7 @@
 //! phases.
 
 use crate::cost::CostModel;
-use crate::ipc::{EngineCacheStats, IpcSystem};
+use crate::ipc::{oneway, EngineCacheStats, IpcSystem};
 use crate::ledger::{CycleLedger, Invocation, InvokeOpts, Phase};
 
 /// Byte counts cross from the u64 cycle domain into the `usize` message
@@ -130,19 +130,11 @@ impl World {
         self.ipc.migrating_threads()
     }
 
-    /// Price one one-way hop *without* charging it. The multicore layer
-    /// prices hops here, wraps them with cross-core cost when the call
-    /// leaves the core, then charges them via
+    /// Price one one-way hop *without* charging it, as a standalone
+    /// [`Invocation`] (see [`crate::ipc::oneway`]); charge it later with
     /// [`charge_invocation`](Self::charge_invocation).
     pub fn price_oneway(&mut self, bytes: u64, opts: &InvokeOpts) -> Invocation {
-        self.ipc.oneway(msg_len(bytes), opts)
-    }
-
-    /// Price a burst of `calls` one-way hops of `bytes_each` submitted
-    /// together *without* charging it (see
-    /// [`IpcSystem::invoke_batch`]).
-    pub fn price_batch(&mut self, calls: u64, bytes_each: u64, opts: &InvokeOpts) -> Invocation {
-        self.ipc.invoke_batch(calls, msg_len(bytes_each), opts)
+        oneway(self.ipc.as_mut(), msg_len(bytes), opts)
     }
 
     /// Sink-path [`price_oneway`](Self::price_oneway): charge the hop's
@@ -156,9 +148,10 @@ impl World {
         self.ipc.oneway_into(msg_len(bytes), opts, out)
     }
 
-    /// Sink-path [`price_batch`](Self::price_batch): charge the batch's
-    /// phases into `out` (which must be empty — see
-    /// [`IpcSystem::invoke_batch_into`]) and return the bytes copied.
+    /// Price a burst of `calls` one-way hops of `bytes_each` submitted
+    /// together: charge the batch's phases into `out` (which must be
+    /// empty — see [`IpcSystem::invoke_batch_into`]) and return the bytes
+    /// copied.
     pub fn price_batch_into(
         &mut self,
         calls: u64,
@@ -220,34 +213,22 @@ impl World {
             self.ipc
                 .oneway_into(msg_len(reply), &InvokeOpts::reply_leg(), &mut legs);
         }
-        self.charge_ledger(1, call + reply.unwrap_or(0), &legs);
+        self.charge_ledger(call + reply.unwrap_or(0), &legs);
         self.legs = legs;
     }
 
     /// Charge an already-priced invocation carrying `payload` bytes into
     /// the clock, the IPC/compute split, and the merged ledger.
     pub fn charge_invocation(&mut self, payload: u64, inv: Invocation) {
-        self.charge_batch(1, payload, inv);
+        self.charge_ledger(payload, &inv.ledger);
     }
 
-    /// Charge an already-priced batch of `calls` invocations carrying
-    /// `payload` bytes total: one size-histogram event (the burst was one
-    /// submission), `calls` IPC invocations.
-    pub fn charge_batch(&mut self, calls: u64, payload: u64, inv: Invocation) {
-        self.charge_ledger(calls, payload, &inv.ledger);
-    }
-
-    /// The one full charge every IPC path ends in: clock, IPC/compute
-    /// split, one size-histogram event and the merged ledger, from the
-    /// priced spans in `ledger`.
-    fn charge_ledger(&mut self, calls: u64, payload: u64, ledger: &CycleLedger) {
-        let total = ledger.total();
-        self.cycles += total;
-        self.stats.ipc_cycles += total;
-        self.stats.ipc_transfer_cycles += ledger.get(Phase::Transfer);
-        self.stats.events.push((payload, total));
-        self.stats.ipc_count += calls;
-        self.stats.payload_bytes += payload;
+    /// The full charge of one priced invocation: the lean
+    /// [`charge_spans`](Self::charge_spans) plus one size-histogram event
+    /// and the merged ledger.
+    fn charge_ledger(&mut self, payload: u64, ledger: &CycleLedger) {
+        self.charge_spans(1, payload, ledger);
+        self.stats.events.push((payload, ledger.total()));
         self.stats.ledger.merge(ledger);
     }
 
@@ -314,13 +295,15 @@ mod tests {
         fn name(&self) -> String {
             "fixed".into()
         }
-        fn oneway(&mut self, msg_len: usize, _opts: &InvokeOpts) -> Invocation {
-            Invocation::from_ledger(
-                CycleLedger::new()
-                    .with(Phase::Trap, 100)
-                    .with(Phase::Transfer, msg_len as u64),
-                msg_len as u64,
-            )
+        fn oneway_into(
+            &mut self,
+            msg_len: usize,
+            _opts: &InvokeOpts,
+            out: &mut CycleLedger,
+        ) -> u64 {
+            out.charge(Phase::Trap, 100);
+            out.charge(Phase::Transfer, msg_len as u64);
+            msg_len as u64
         }
     }
 

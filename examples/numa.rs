@@ -17,7 +17,7 @@
 
 use xpc_repro::kernels::{IpcSystem, Sel4, Sel4Transfer, XpcIpc, Zircon};
 use xpc_repro::services::http::{chain_steps, ChainSpec, CHAIN_SERVICES};
-use xpc_repro::simos::{load, InvokeOpts, LoadGen, MultiWorld, Phase, Placement, Topology};
+use xpc_repro::simos::{load, CycleLedger, LoadGen, MultiWorld, Phase, Placement, Step, Topology};
 
 fn main() {
     type Mk = fn() -> Box<dyn IpcSystem>;
@@ -37,17 +37,25 @@ fn main() {
             let mut mw = MultiWorld::builder()
                 .topology(Topology::dual_socket())
                 .build(mk);
-            mw.exec_oneway(0, to, 4096, &InvokeOpts::call(), 0).1
+            let ids: Vec<usize> = (0..mw.n_cores()).collect();
+            let mut ledger = CycleLedger::new();
+            let step = Step::Oneway {
+                from: 0,
+                to,
+                bytes: 4096,
+            };
+            mw.exec_into(step, &ids, 0, &mut ledger);
+            ledger
         };
         let local = hop(1);
         let remote = hop(4);
         println!(
             "{:14} {:>10} {:>10} {:>10} {:>11}",
             mk().name(),
-            local.total,
-            remote.total,
-            remote.ledger.get(Phase::CrossCore),
-            remote.ledger.get(Phase::ShardMiss),
+            local.total(),
+            remote.total(),
+            remote.get(Phase::CrossCore),
+            remote.get(Phase::ShardMiss),
         );
     }
 
