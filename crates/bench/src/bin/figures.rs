@@ -7,16 +7,16 @@
 //! cargo run -p xpc-bench --bin figures -- --threads 4 --json --no-simspeed all
 //! ```
 //!
-//! `--json` additionally sweeps the full kernel-model roster and dumps
-//! per-system, per-size, per-phase cycle attributions (plus the Figure 5
-//! ablation ledgers) to `BENCH_figures.json`. `--no-simspeed` drops the
-//! wall-clock `simspeed` section so that dump is byte-reproducible.
+//! `--json` additionally writes `BENCH_figures.json`: the full kernel-model
+//! roster's per-system, per-size, per-phase cycle attributions, the JSON
+//! sections of the experiments that ran (computed in the same run as
+//! their tables), and the wall-clock `simspeed` section. `--no-simspeed`
+//! drops that last section so the dump is byte-reproducible.
 //! `--threads N` pins the sweep pool's worker count (overriding
 //! `XPC_BENCH_THREADS` and the machine's parallelism); the rendered
 //! output is byte-identical at any setting.
 
 use xpc_bench::experiments;
-use xpc_bench::sweep;
 
 fn fail(msg: &str) -> ! {
     eprintln!("figures: {msg}");
@@ -59,10 +59,18 @@ fn main() {
     } else {
         args.iter().map(|s| s.as_str()).collect()
     };
+    let mut sections = Vec::new();
     for key in keys {
         match registry.iter().find(|(k, _)| *k == key) {
-            Some((_, run)) => {
-                println!("{}", run().render());
+            Some(&(key, run)) => {
+                let out = run();
+                println!("{}", out.report.render());
+                // A key named twice runs twice but keeps one section.
+                if let Some(section) = out.json {
+                    if !sections.iter().any(|&(k, _)| k == key) {
+                        sections.push((key, section));
+                    }
+                }
             }
             None => {
                 let hint = experiments::suggest(key)
@@ -82,47 +90,15 @@ fn main() {
     }
 
     if json {
-        let rows = sweep::roster_sweep();
-        let fig5: Vec<(String, kernels::Invocation)> = experiments::fig5::invocations()
-            .into_iter()
-            .map(|(name, inv)| (name.to_string(), inv))
-            .collect();
-        let mut raw = vec![
-            ("scale", experiments::scale::json_section()),
-            ("pipeline", experiments::pipeline::json_section()),
-            ("ablations", experiments::ablations::json_section()),
-            ("numa", experiments::numa::json_section()),
-            ("verify", experiments::verify::json_section()),
-            ("serve", experiments::serve::json_section()),
-            ("fuse", experiments::fuse::json_section()),
-            ("harden", experiments::harden::json_section()),
-        ];
+        let mut names: Vec<&str> = sections.iter().map(|&(k, _)| k).collect();
         if !no_simspeed {
-            // Wall-clock simulator throughput; lives only in the JSON
-            // dump (never in golden.txt — the numbers are real-time,
-            // not modeled) and is suppressed by --no-simspeed when the
-            // dump itself must be byte-reproducible.
-            let serial = experiments::simspeed::measure(experiments::simspeed::REQUESTS);
-            let par = experiments::simspeed::measure_par();
-            raw.push((
-                "simspeed",
-                experiments::simspeed::json_section(&serial, &par),
-            ));
+            names.push("simspeed");
         }
-        let doc = sweep::json_dump(&rows, &[("fig5", fig5)], &raw);
+        let doc = experiments::document(sections, !no_simspeed);
         let path = "BENCH_figures.json";
-        if let Err(e) = std::fs::write(path, &doc) {
+        if let Err(e) = std::fs::write(path, format!("{}\n", doc.pretty())) {
             fail(&format!("failed to write {path}: {e}"));
         }
-        eprintln!(
-            "wrote {path}: {} systems x {} sizes, phase-attributed{}",
-            rows.len(),
-            sweep::SIZES.len(),
-            if no_simspeed {
-                ", simspeed skipped"
-            } else {
-                ""
-            }
-        );
+        eprintln!("wrote {path}: systems {}", names.join(" "));
     }
 }

@@ -58,7 +58,7 @@ fn main() {
         p.threads, p.par_grid_rps
     );
     println!("  parallel / serial:             {:>12.2}x", p.par_speedup);
-    println!("{}", simspeed::json_section(&r, &p));
+    println!("{}", simspeed::json(&r, &p).pretty());
 
     let mut failed = false;
     if !r.full_arena_steady {

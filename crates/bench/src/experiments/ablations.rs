@@ -4,8 +4,9 @@
 //! relay page table (§6.2) versus the contiguous relay segment, the last
 //! one measured on the emulator.
 
-use super::Report;
+use super::{Output, Report};
 use crate::harness::{CallBench, CallBenchConfig};
+use crate::json::Json;
 use kernels::XpcIpc;
 use rv64::{reg, Assembler};
 use simos::cost::CostModel;
@@ -122,8 +123,9 @@ pub fn engine_batch_rows() -> Vec<(u64, f64, EngineCacheStats)> {
         .collect()
 }
 
-/// Regenerate the ablation report.
-pub fn run() -> Report {
+/// Regenerate the ablation report and its `"ablations"` JSON section
+/// (engine-cache efficacy under batching).
+pub fn run() -> Output {
     let mut rows: Vec<Vec<String>> = Vec::new();
     rows.push(vec!["-- transports: 1MiB over 4 hops --".into()]);
     for (name, cycles, safe, handover) in transport_rows() {
@@ -151,7 +153,8 @@ pub fn run() -> Report {
         rows.push(vec![name, format!("{cycles} cycles")]);
     }
     rows.push(vec!["-- engine cache under batching (64B bursts) --".into()]);
-    for (n, per_call, stats) in engine_batch_rows() {
+    let engine_batch = engine_batch_rows();
+    for (n, per_call, stats) in &engine_batch {
         rows.push(vec![
             format!("batch {n}"),
             format!("{per_call:.1} cycles/call"),
@@ -159,31 +162,29 @@ pub fn run() -> Report {
             format!("cache hits: {}", stats.cache_hits),
         ]);
     }
-    Report {
-        id: "Ablations",
-        caption:
-            "Design-choice sweeps (transport family, cap stores, context modes, relay page table)",
-        headers: vec!["Variant".into(), "Cost".into(), "".into(), "".into()],
-        rows,
+    // The JSON section surfaces the engine-cache counters rather than
+    // leaving them to be inferred from totals.
+    let json = Json::object([(
+        "engine_cache_batching",
+        Json::array(engine_batch.iter().map(|(n, per_call, stats)| {
+            Json::object([
+                ("batch", (*n).into()),
+                ("per_call_cycles", Json::Fixed(*per_call, 1)),
+                ("prefetches", stats.prefetches.into()),
+                ("cache_hits", stats.cache_hits.into()),
+            ])
+        })),
+    )]);
+    Output {
+        report: Report {
+            id: "Ablations",
+            caption:
+                "Design-choice sweeps (transport family, cap stores, context modes, relay page table)",
+            headers: vec!["Variant".into(), "Cost".into(), "".into(), "".into()],
+            rows,
+        },
+        json: Some(json),
     }
-}
-
-/// The `"ablations"` section of `BENCH_figures.json`: engine-cache
-/// efficacy under batching, surfaced as counters rather than inferred
-/// from totals.
-pub fn json_section() -> String {
-    let cells = engine_batch_rows()
-        .iter()
-        .map(|(n, per_call, stats)| {
-            format!(
-                "    {{\"batch\": {n}, \"per_call_cycles\": {per_call:.1}, \
-                 \"prefetches\": {}, \"cache_hits\": {}}}",
-                stats.prefetches, stats.cache_hits
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!("{{\"engine_cache_batching\": [\n{cells}\n  ]}}")
 }
 
 #[cfg(test)]

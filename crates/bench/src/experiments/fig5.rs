@@ -6,8 +6,10 @@
 //! per-rung saving is the [`kernels::CycleLedger::diff`] against the
 //! previous bar's ledger.
 
-use super::Report;
+use super::{Output, Report};
 use crate::harness::{CallBenchConfig, EmulatedXpc};
+use crate::json::Json;
+use crate::sweep::invocation_json;
 use kernels::{Invocation, InvokeOpts, Phase};
 use simos::ipc::oneway;
 
@@ -28,17 +30,6 @@ pub struct Fig5Bar {
     pub delta: Vec<(Phase, i64)>,
 }
 
-/// Measure the five ladder invocations.
-pub fn invocations() -> Vec<(&'static str, Invocation)> {
-    CallBenchConfig::fig5_ladder()
-        .into_iter()
-        .map(|(config, cfg)| {
-            let inv = oneway(&mut EmulatedXpc::new(config, &cfg), 0, &InvokeOpts::call());
-            (config, inv)
-        })
-        .collect()
-}
-
 /// Measure all five bars, each annotated with its ledger diff vs the
 /// previous rung.
 pub fn bars() -> Vec<Fig5Bar> {
@@ -46,9 +37,10 @@ pub fn bars() -> Vec<Fig5Bar> {
     // One diff buffer across the ladder; each bar clones only its own
     // (tiny) delta out of the warm scratch.
     let mut scratch: Vec<(Phase, i64)> = Vec::new();
-    invocations()
+    CallBenchConfig::fig5_ladder()
         .into_iter()
-        .map(|(config, inv)| {
+        .map(|(config, cfg)| {
+            let inv = oneway(&mut EmulatedXpc::new(config, &cfg), 0, &InvokeOpts::call());
             let delta = match &prev {
                 Some(p) => {
                     inv.ledger.diff_into(&p.ledger, &mut scratch);
@@ -70,10 +62,12 @@ pub fn bars() -> Vec<Fig5Bar> {
         .collect()
 }
 
-/// Regenerate Figure 5.
-pub fn run() -> Report {
-    let rows = bars()
-        .into_iter()
+/// Regenerate Figure 5 and its `"fig5"` JSON section: each rung's
+/// name and phase-attributed invocation.
+pub fn run() -> Output {
+    let bars = bars();
+    let rows = bars
+        .iter()
         .map(|b| {
             let saved: i64 = -b.delta.iter().map(|&(_, d)| d).sum::<i64>();
             vec![
@@ -90,7 +84,13 @@ pub fn run() -> Report {
             ]
         })
         .collect();
-    Report {
+    let json = Json::array(bars.iter().map(|b| {
+        Json::object([
+            ("name", b.config.into()),
+            ("invocation", invocation_json(0, &b.invocation)),
+        ])
+    }));
+    let report = Report {
         id: "Figure 5",
         caption: "XPC optimizations and breakdown (one IPC call, emulator-measured; paper totals 150/89/49/33/21)",
         headers: vec![
@@ -102,6 +102,10 @@ pub fn run() -> Report {
             "vs prev".into(),
         ],
         rows,
+    };
+    Output {
+        report,
+        json: Some(json),
     }
 }
 

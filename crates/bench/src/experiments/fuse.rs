@@ -21,7 +21,8 @@
 //! [`super::verify::gate_program`] refuses cap-violating, over-deep, or
 //! handover-stealing chains outright.
 
-use super::Report;
+use super::{Output, Report};
+use crate::json::Json;
 use kernels::{Sel4, Sel4Transfer, XpcIpc, Zircon};
 use simos::serve::{serve_with, ServeScratch};
 use simos::{
@@ -260,9 +261,12 @@ pub fn knee_results() -> Vec<FuseKneeCell> {
     })
 }
 
-/// Regenerate the fuse table (the grid, with the knee appended).
-pub fn run() -> Report {
-    let mut rows: Vec<Vec<String>> = grid_results()
+/// Regenerate the fuse table (the grid, with the knee appended) and its
+/// `"fuse"` JSON section: grid + knee.
+pub fn run() -> Output {
+    let grid = grid_results();
+    let knee = knee_results();
+    let mut rows: Vec<Vec<String>> = grid
         .iter()
         .map(|c| {
             vec![
@@ -275,7 +279,7 @@ pub fn run() -> Report {
             ]
         })
         .collect();
-    for c in knee_results() {
+    for c in &knee {
         let r = &c.report;
         rows.push(vec![
             format!("{} rho={}.{}", r.system, c.rho_x10 / 10, c.rho_x10 % 10),
@@ -286,56 +290,46 @@ pub fn run() -> Report {
             format!("shed={}", r.shed()),
         ]);
     }
-    Report {
-        id: "Fuse",
-        caption: "Fused call programs: crossings-per-request stay at 1 under XPC at every depth while trap baselines scale linearly; depth-4 open-loop knee appended",
-        headers: vec![
-            "System".into(),
-            "Depth".into(),
-            "Handover".into(),
-            "Cycles".into(),
-            "Crossings".into(),
-            "Copied B".into(),
-        ],
-        rows,
+    let grid = Json::array(grid.iter().map(|c| {
+        Json::object([
+            ("system", c.system.as_str().into()),
+            ("depth", c.depth.into()),
+            ("handover", c.handover.into()),
+            ("cycles", c.cycles.into()),
+            ("crossings", c.crossings.into()),
+            ("copied_bytes", c.copied_bytes.into()),
+        ])
+    }));
+    let knee = Json::array(knee.iter().map(|c| {
+        let r = &c.report;
+        Json::object([
+            ("system", r.system.as_str().into()),
+            ("rho_x10", c.rho_x10.into()),
+            ("capacity_period_cycles", c.capacity_period_cycles.into()),
+            ("offered", r.offered.into()),
+            ("admitted", r.admitted.into()),
+            ("shed", r.shed().into()),
+            ("goodput_rps", Json::Fixed(r.goodput_rps, 1)),
+            ("p50_us", Json::Fixed(r.p50_us, 2)),
+            ("p99_us", Json::Fixed(r.p99_us, 2)),
+        ])
+    }));
+    Output {
+        report: Report {
+            id: "Fuse",
+            caption: "Fused call programs: crossings-per-request stay at 1 under XPC at every depth while trap baselines scale linearly; depth-4 open-loop knee appended",
+            headers: vec![
+                "System".into(),
+                "Depth".into(),
+                "Handover".into(),
+                "Cycles".into(),
+                "Crossings".into(),
+                "Copied B".into(),
+            ],
+            rows,
+        },
+        json: Some(Json::object([("grid", grid), ("knee", knee)])),
     }
-}
-
-/// The `"fuse"` section of `BENCH_figures.json`: grid + knee.
-pub fn json_section() -> String {
-    let grid = grid_results()
-        .iter()
-        .map(|c| {
-            format!(
-                "      {{\"system\": \"{}\", \"depth\": {}, \"handover\": {}, \"cycles\": {}, \
-                 \"crossings\": {}, \"copied_bytes\": {}}}",
-                c.system, c.depth, c.handover, c.cycles, c.crossings, c.copied_bytes
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let knee = knee_results()
-        .iter()
-        .map(|c| {
-            let r = &c.report;
-            format!(
-                "      {{\"system\": \"{}\", \"rho_x10\": {}, \"capacity_period_cycles\": {}, \
-                 \"offered\": {}, \"admitted\": {}, \"shed\": {}, \"goodput_rps\": {:.1}, \
-                 \"p50_us\": {:.2}, \"p99_us\": {:.2}}}",
-                r.system,
-                c.rho_x10,
-                c.capacity_period_cycles,
-                r.offered,
-                r.admitted,
-                r.shed(),
-                r.goodput_rps,
-                r.p50_us,
-                r.p99_us
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!("{{\n    \"grid\": [\n{grid}\n    ],\n    \"knee\": [\n{knee}\n    ]\n  }}")
 }
 
 #[cfg(test)]
@@ -447,14 +441,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn json_section_is_shaped() {
-        let s = json_section();
-        assert!(s.contains("\"grid\""));
-        assert!(s.contains("\"knee\""));
-        assert!(s.contains("\"crossings\": 1"));
-        assert!(s.contains("\"rho_x10\": 10"));
     }
 }

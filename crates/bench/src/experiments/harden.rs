@@ -17,7 +17,8 @@
 //! to the unhardened sweeps (the `none` rows reprice the same
 //! invocations the other figures already snapshot).
 
-use super::Report;
+use super::{Output, Report};
+use crate::json::Json;
 use crate::sweep::SIZES;
 use kernels::{InvokeOpts, Phase, Sel4, Sel4Transfer, XpcIpc, Zircon};
 use simos::{oneway, Hardening, IpcSystem};
@@ -109,9 +110,10 @@ pub fn results() -> Vec<Vec<HardenCell>> {
     })
 }
 
-/// Regenerate the harden table.
-pub fn run() -> Report {
-    let rows = results()
+/// Regenerate the harden table and its `"harden"` JSON section.
+pub fn run() -> Output {
+    let cells = results();
+    let rows = cells
         .iter()
         .flatten()
         .map(|c| {
@@ -125,36 +127,32 @@ pub fn run() -> Report {
             ]
         })
         .collect();
-    Report {
-        id: "Harden",
-        caption: "Security tax of the temporal mitigations: hardened one-way cycles over the unhardened baseline, per mechanism and message size",
-        headers: vec![
-            "System".into(),
-            "Mitigations".into(),
-            "Size".into(),
-            "Cycles".into(),
-            "Tax".into(),
-            "Scrub".into(),
-        ],
-        rows,
+    let json = Json::array(cells.iter().flatten().map(|c| {
+        Json::object([
+            ("system", c.system.as_str().into()),
+            ("set", c.set.into()),
+            ("msg_len", c.msg_len.into()),
+            ("cycles", c.cycles.into()),
+            ("tax_cycles", c.tax_cycles.into()),
+            ("scrub_cycles", c.scrub_cycles.into()),
+        ])
+    }));
+    Output {
+        report: Report {
+            id: "Harden",
+            caption: "Security tax of the temporal mitigations: hardened one-way cycles over the unhardened baseline, per mechanism and message size",
+            headers: vec![
+                "System".into(),
+                "Mitigations".into(),
+                "Size".into(),
+                "Cycles".into(),
+                "Tax".into(),
+                "Scrub".into(),
+            ],
+            rows,
+        },
+        json: Some(json),
     }
-}
-
-/// The `"harden"` section of `BENCH_figures.json`.
-pub fn json_section() -> String {
-    let cells = results()
-        .iter()
-        .flatten()
-        .map(|c| {
-            format!(
-                "    {{\"system\": \"{}\", \"set\": \"{}\", \"msg_len\": {}, \
-                 \"cycles\": {}, \"tax_cycles\": {}, \"scrub_cycles\": {}}}",
-                c.system, c.set, c.msg_len, c.cycles, c.tax_cycles, c.scrub_cycles
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!("[\n{cells}\n  ]")
 }
 
 #[cfg(test)]
@@ -166,7 +164,7 @@ mod tests {
             .iter()
             .flatten()
             .find(|c| c.system == sys && c.set == set && c.msg_len == b)
-            .unwrap()
+            .unwrap_or_else(|| panic!("grid is missing {sys} x {set} at {b}B"))
     }
 
     #[test]
@@ -175,6 +173,14 @@ mod tests {
         assert_eq!(cells.len(), 4);
         for per_sys in &cells {
             assert_eq!(per_sys.len(), SETS.len() * SIZES.len());
+        }
+        // Every system x set x size point is present by name.
+        for sys in ["Zircon", "Zircon-XPC", "seL4-onecopy", "seL4-XPC"] {
+            for (set, _) in SETS {
+                for &b in &SIZES {
+                    cell(&cells, sys, set, b);
+                }
+            }
         }
     }
 
@@ -239,14 +245,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn json_section_is_shaped() {
-        let s = json_section();
-        assert!(s.contains("\"set\": \"none\""));
-        assert!(s.contains("\"set\": \"all\""));
-        assert!(s.contains("\"tax_cycles\": 0"));
-        assert!(s.contains("\"scrub_cycles\""));
     }
 }

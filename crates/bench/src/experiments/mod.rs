@@ -1,5 +1,6 @@
 //! One module per paper table/figure; each produces a [`Report`] that the
-//! `figures` binary prints and tests assert on.
+//! `figures` binary prints and tests assert on, and some also a section
+//! of `BENCH_figures.json` rendered from the same computed results.
 
 pub mod ablations;
 pub mod fig1;
@@ -22,6 +23,9 @@ pub mod table5;
 pub mod table6;
 pub mod table7;
 pub mod verify;
+
+use crate::json::Json;
+use crate::sweep;
 
 /// A regenerated table or figure.
 #[derive(Debug, Clone)]
@@ -70,31 +74,48 @@ impl Report {
     }
 }
 
+/// What one experiment run yields: its text table and, for experiments
+/// with a `BENCH_figures.json` section, that section — both built from
+/// one computation of the experiment's results.
+#[derive(Debug, Clone)]
+pub struct Output {
+    /// The text table.
+    pub report: Report,
+    /// The JSON section, if the experiment has one.
+    pub json: Option<Json>,
+}
+
+impl From<Report> for Output {
+    fn from(report: Report) -> Self {
+        Output { report, json: None }
+    }
+}
+
 /// A named experiment runner.
-pub type Experiment = (&'static str, fn() -> Report);
+pub type Experiment = (&'static str, fn() -> Output);
 
 /// Every experiment, in paper order, as (key, runner).
 ///
 /// Debug builds assert the keys are unique — a duplicate would make
 /// `figures <key>` silently run only the first entry.
 pub fn all() -> Vec<Experiment> {
-    let registry = vec![
-        ("fig1a", fig1::fig1a as fn() -> Report),
-        ("fig1b", fig1::fig1b),
-        ("table1", table1::run),
+    let registry: Vec<Experiment> = vec![
+        ("fig1a", || fig1::fig1a().into()),
+        ("fig1b", || fig1::fig1b().into()),
+        ("table1", || table1::run().into()),
         ("fig5", fig5::run),
-        ("fig6", fig6::run),
-        ("table3", table3::run),
-        ("fig7ab", fig7::fig7ab),
-        ("fig7c", fig7::fig7c),
-        ("fig8ab", fig8::fig8ab),
-        ("fig8c", fig8::fig8c),
-        ("fig9a", fig9::fig9a),
-        ("fig9b", fig9::fig9b),
-        ("table4", table4::run),
-        ("table5", table5::run),
-        ("table6", table6::run),
-        ("table7", table7::run),
+        ("fig6", || fig6::run().into()),
+        ("table3", || table3::run().into()),
+        ("fig7ab", || fig7::fig7ab().into()),
+        ("fig7c", || fig7::fig7c().into()),
+        ("fig8ab", || fig8::fig8ab().into()),
+        ("fig8c", || fig8::fig8c().into()),
+        ("fig9a", || fig9::fig9a().into()),
+        ("fig9b", || fig9::fig9b().into()),
+        ("table4", || table4::run().into()),
+        ("table5", || table5::run().into()),
+        ("table6", || table6::run().into()),
+        ("table7", || table7::run().into()),
         ("ablations", ablations::run),
         ("scale", scale::run),
         ("pipeline", pipeline::run),
@@ -113,6 +134,24 @@ pub fn all() -> Vec<Experiment> {
         "experiments::all() registers a duplicate key"
     );
     registry
+}
+
+/// The `BENCH_figures.json` document: the full roster's per-system,
+/// per-size, per-phase sweep (`systems`), then `sections` (the JSON
+/// sections of the experiments that ran, in run order), then — when
+/// `simspeed` is set — the wall-clock `simspeed` section, the one part
+/// that is not byte-reproducible.
+pub fn document(sections: Vec<(&'static str, Json)>, simspeed: bool) -> Json {
+    let mut fields = vec![("systems", sweep::roster_json(&sweep::roster_sweep()))];
+    fields.extend(sections);
+    if simspeed {
+        let serial = simspeed::measure(simspeed::REQUESTS);
+        fields.push((
+            "simspeed",
+            simspeed::json(&serial, &simspeed::measure_par()),
+        ));
+    }
+    Json::Object(fields)
 }
 
 /// The registry key closest to `unknown` (edit distance ≤ 2), for the

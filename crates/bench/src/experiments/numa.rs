@@ -19,7 +19,8 @@
 //!   [`Phase::Queue`] / [`Phase::CrossCore`] split in the ledger shows
 //!   the trade.
 
-use super::Report;
+use super::{Output, Report};
+use crate::json::Json;
 use kernels::{Sel4, Sel4Transfer, XpcIpc, Zircon};
 use services::http::{chain_steps, ChainSpec, CHAIN_SERVICES};
 use simos::{
@@ -148,10 +149,11 @@ pub fn results() -> Vec<(&'static str, LoadReport)> {
     })
 }
 
-/// Regenerate the NUMA table (the load grid; the hop comparison lives in
-/// the JSON section).
-pub fn run() -> Report {
-    let rows = results()
+/// Regenerate the NUMA table (the load grid) and its `"numa"` JSON
+/// section: the per-system hop comparison plus the load grid.
+pub fn run() -> Output {
+    let cells = results();
+    let rows = cells
         .iter()
         .map(|(topo, r)| {
             vec![
@@ -171,73 +173,69 @@ pub fn run() -> Report {
             ]
         })
         .collect();
-    Report {
-        id: "NUMA",
-        caption: "HTTP chain under W=4 windowed load: topology x placement (16 clients x 400 reqs)",
-        headers: vec![
-            "System".into(),
-            "Topology".into(),
-            "Placement".into(),
-            "Cores".into(),
-            "Req/s".into(),
-            "p50 us".into(),
-            "p99 us".into(),
-            "x-core".into(),
-            "queue".into(),
-            "shard miss".into(),
-        ],
-        rows,
+    let hops = Json::array(hops().iter().map(|h| {
+        Json::object([
+            ("system", h.system.as_str().into()),
+            ("migrating", h.migrating.into()),
+            ("payload_bytes", HOP_BYTES.into()),
+            ("local_cycles", h.local.total.into()),
+            ("remote_cycles", h.remote.total.into()),
+            (
+                "local_cross_core",
+                h.local.ledger.get(Phase::CrossCore).into(),
+            ),
+            (
+                "remote_cross_core",
+                h.remote.ledger.get(Phase::CrossCore).into(),
+            ),
+            (
+                "remote_shard_miss",
+                h.remote.ledger.get(Phase::ShardMiss).into(),
+            ),
+        ])
+    }));
+    let load = Json::array(cells.iter().map(|(topo, r)| {
+        Json::object([
+            ("system", r.system.as_str().into()),
+            ("topology", (*topo).into()),
+            ("policy", r.policy.into()),
+            ("cores", r.cores.into()),
+            ("window", r.window.into()),
+            ("throughput_rps", Json::Fixed(r.throughput_rps, 1)),
+            ("p50_us", Json::Fixed(r.p50_us, 2)),
+            ("p99_us", Json::Fixed(r.p99_us, 2)),
+            (
+                "cross_core_fraction",
+                Json::Fixed(r.cross_core_fraction(), 4),
+            ),
+            ("queue_fraction", Json::Fixed(r.queue_fraction(), 4)),
+            (
+                "shard_misses",
+                r.engine_cache.map(|s| s.shard_misses).into(),
+            ),
+        ])
+    }));
+    Output {
+        report: Report {
+            id: "NUMA",
+            caption:
+                "HTTP chain under W=4 windowed load: topology x placement (16 clients x 400 reqs)",
+            headers: vec![
+                "System".into(),
+                "Topology".into(),
+                "Placement".into(),
+                "Cores".into(),
+                "Req/s".into(),
+                "p50 us".into(),
+                "p99 us".into(),
+                "x-core".into(),
+                "queue".into(),
+                "shard miss".into(),
+            ],
+            rows,
+        },
+        json: Some(Json::object([("hops", hops), ("load", load)])),
     }
-}
-
-/// The `"numa"` section of `BENCH_figures.json`: the per-system hop
-/// comparison plus the windowed-load grid.
-pub fn json_section() -> String {
-    let hop_cells = hops()
-        .iter()
-        .map(|h| {
-            format!(
-                "      {{\"system\": \"{}\", \"migrating\": {}, \"payload_bytes\": {HOP_BYTES}, \
-                 \"local_cycles\": {}, \"remote_cycles\": {}, \
-                 \"local_cross_core\": {}, \"remote_cross_core\": {}, \
-                 \"remote_shard_miss\": {}}}",
-                h.system,
-                h.migrating,
-                h.local.total,
-                h.remote.total,
-                h.local.ledger.get(Phase::CrossCore),
-                h.remote.ledger.get(Phase::CrossCore),
-                h.remote.ledger.get(Phase::ShardMiss),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let load_cells = results()
-        .iter()
-        .map(|(topo, r)| {
-            let shard_misses = match r.engine_cache {
-                Some(s) => s.shard_misses.to_string(),
-                None => "null".into(),
-            };
-            format!(
-                "      {{\"system\": \"{}\", \"topology\": \"{topo}\", \"policy\": \"{}\", \
-                 \"cores\": {}, \"window\": {}, \"throughput_rps\": {:.1}, \
-                 \"p50_us\": {:.2}, \"p99_us\": {:.2}, \"cross_core_fraction\": {:.4}, \
-                 \"queue_fraction\": {:.4}, \"shard_misses\": {shard_misses}}}",
-                r.system,
-                r.policy,
-                r.cores,
-                r.window,
-                r.throughput_rps,
-                r.p50_us,
-                r.p99_us,
-                r.cross_core_fraction(),
-                r.queue_fraction(),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!("{{\n    \"hops\": [\n{hop_cells}\n    ],\n    \"load\": [\n{load_cells}\n    ]\n  }}")
 }
 
 #[cfg(test)]
@@ -291,10 +289,17 @@ mod tests {
     }
 
     #[test]
-    fn json_section_is_shaped() {
-        let s = json_section();
-        assert!(s.contains("\"hops\""));
-        assert!(s.contains("\"load\""));
-        assert!(s.contains("\"remote_shard_miss\""));
+    fn hops_cover_the_roster_and_the_remote_socket_costs_more() {
+        let hops = hops();
+        assert_eq!(hops.len(), kernels::full_roster().len());
+        for h in &hops {
+            assert!(h.remote.total > h.local.total, "{}", h.system);
+            // Migrating threads cross a core on the same socket for free
+            // and fetch the x-entry shard only across sockets.
+            let free_local = h.local.ledger.get(Phase::CrossCore) == 0;
+            let shard_miss = h.remote.ledger.get(Phase::ShardMiss) > 0;
+            assert_eq!(free_local, h.migrating, "{}", h.system);
+            assert_eq!(shard_miss, h.migrating, "{}", h.system);
+        }
     }
 }

@@ -9,7 +9,8 @@
 //! opens. The `window = 1, batch = 1` corner is bit-identical to the
 //! closed-loop generator (pinned by a test below).
 
-use super::Report;
+use super::{Output, Report};
+use crate::json::Json;
 use kernels::{Sel4, Sel4Transfer, XpcIpc, Zircon};
 use simos::{Attribution, CostModel, IpcSystem, LoadGen, LoadReport, MultiWorld, Placement, Step};
 
@@ -114,9 +115,12 @@ pub fn calls_per_sec(r: &LoadReport) -> f64 {
     r.ipc_calls as f64 * CostModel::u500().clock_hz as f64 / r.makespan_cycles as f64
 }
 
-/// Regenerate the pipeline table.
-pub fn run() -> Report {
-    let rows = results()
+/// Regenerate the pipeline table and its `"pipeline"` JSON section (one
+/// object per (mechanism, window, batch) cell, engine-cache counters
+/// included).
+pub fn run() -> Output {
+    let cells = results();
+    let rows = cells
         .iter()
         .map(|(batch, r)| {
             vec![
@@ -134,54 +138,48 @@ pub fn run() -> Report {
             ]
         })
         .collect();
-    Report {
-        id: "Pipeline",
-        caption: "Windowed async pipeline: calls/s and latency by (window, batch), 64B calls on 2 cores (8 clients x 240 reqs)",
-        headers: vec![
-            "System".into(),
-            "Window".into(),
-            "Batch".into(),
-            "Calls/s".into(),
-            "p50 us".into(),
-            "p99 us".into(),
-            "queue".into(),
-            "cache hits".into(),
-        ],
-        rows,
+    let json = Json::array(cells.iter().map(|(batch, r)| {
+        Json::object([
+            ("system", r.system.as_str().into()),
+            ("window", r.window.into()),
+            ("batch", (*batch).into()),
+            ("requests", r.requests.into()),
+            ("ipc_calls", r.ipc_calls.into()),
+            ("calls_per_sec", Json::Fixed(calls_per_sec(r), 1)),
+            ("p50_us", Json::Fixed(r.p50_us, 2)),
+            ("p99_us", Json::Fixed(r.p99_us, 2)),
+            ("queue_fraction", Json::Fixed(r.queue_fraction(), 4)),
+            (
+                "engine_cache",
+                r.engine_cache
+                    .map(|s| {
+                        Json::object([
+                            ("prefetches", s.prefetches.into()),
+                            ("cache_hits", s.cache_hits.into()),
+                        ])
+                    })
+                    .into(),
+            ),
+        ])
+    }));
+    Output {
+        report: Report {
+            id: "Pipeline",
+            caption: "Windowed async pipeline: calls/s and latency by (window, batch), 64B calls on 2 cores (8 clients x 240 reqs)",
+            headers: vec![
+                "System".into(),
+                "Window".into(),
+                "Batch".into(),
+                "Calls/s".into(),
+                "p50 us".into(),
+                "p99 us".into(),
+                "queue".into(),
+                "cache hits".into(),
+            ],
+            rows,
+        },
+        json: Some(json),
     }
-}
-
-/// The `"pipeline"` section of `BENCH_figures.json`: one object per
-/// (mechanism, window, batch) cell, engine-cache counters included.
-pub fn json_section() -> String {
-    let cells = results()
-        .iter()
-        .map(|(batch, r)| {
-            let engine = match r.engine_cache {
-                Some(s) => format!(
-                    "{{\"prefetches\": {}, \"cache_hits\": {}}}",
-                    s.prefetches, s.cache_hits
-                ),
-                None => "null".into(),
-            };
-            format!(
-                "    {{\"system\": \"{}\", \"window\": {}, \"batch\": {batch}, \
-                 \"requests\": {}, \"ipc_calls\": {}, \"calls_per_sec\": {:.1}, \
-                 \"p50_us\": {:.2}, \"p99_us\": {:.2}, \"queue_fraction\": {:.4}, \
-                 \"engine_cache\": {engine}}}",
-                r.system,
-                r.window,
-                r.requests,
-                r.ipc_calls,
-                calls_per_sec(r),
-                r.p50_us,
-                r.p99_us,
-                r.queue_fraction()
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!("[\n{cells}\n  ]")
 }
 
 #[cfg(test)]

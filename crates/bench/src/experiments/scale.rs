@@ -6,7 +6,8 @@
 //! cross cores for free. Throughput and the latency percentiles all
 //! derive from per-request virtual-time spans and invocation ledgers.
 
-use super::Report;
+use super::{Output, Report};
+use crate::json::Json;
 use kernels::{Sel4, Sel4Transfer, XpcIpc, Zircon};
 use services::http::{chain_steps, ChainSpec, CHAIN_SERVICES};
 use simos::{Attribution, IpcSystem, LoadGen, LoadReport, MultiWorld, Placement, Step};
@@ -87,9 +88,11 @@ pub fn results() -> Vec<LoadReport> {
     })
 }
 
-/// Regenerate the scale-out table.
-pub fn run() -> Report {
-    let rows = results()
+/// Regenerate the scale-out table and its `"scale"` JSON section (one
+/// object per (mechanism, policy) cell with the ledger-derived metrics).
+pub fn run() -> Output {
+    let cells = results();
+    let rows = cells
         .iter()
         .map(|r| {
             vec![
@@ -103,49 +106,41 @@ pub fn run() -> Report {
             ]
         })
         .collect();
-    Report {
-        id: "Scale-out",
-        caption: "HTTP chain on 4 cores: throughput/latency by placement (closed loop, 16 clients x 400 reqs)",
-        headers: vec![
-            "System".into(),
-            "Placement".into(),
-            "Req/s".into(),
-            "p50 us".into(),
-            "p95 us".into(),
-            "p99 us".into(),
-            "x-core".into(),
-        ],
-        rows,
+    let json = Json::array(cells.iter().map(|r| {
+        Json::object([
+            ("system", r.system.as_str().into()),
+            ("policy", r.policy.into()),
+            ("cores", r.cores.into()),
+            ("clients", r.clients.into()),
+            ("requests", r.requests.into()),
+            ("throughput_rps", Json::Fixed(r.throughput_rps, 1)),
+            ("mean_us", Json::Fixed(r.mean_us, 2)),
+            ("p50_us", Json::Fixed(r.p50_us, 2)),
+            ("p95_us", Json::Fixed(r.p95_us, 2)),
+            ("p99_us", Json::Fixed(r.p99_us, 2)),
+            (
+                "cross_core_fraction",
+                Json::Fixed(r.cross_core_fraction(), 4),
+            ),
+        ])
+    }));
+    Output {
+        report: Report {
+            id: "Scale-out",
+            caption: "HTTP chain on 4 cores: throughput/latency by placement (closed loop, 16 clients x 400 reqs)",
+            headers: vec![
+                "System".into(),
+                "Placement".into(),
+                "Req/s".into(),
+                "p50 us".into(),
+                "p95 us".into(),
+                "p99 us".into(),
+                "x-core".into(),
+            ],
+            rows,
+        },
+        json: Some(json),
     }
-}
-
-/// The `"scale"` section of `BENCH_figures.json`: one object per
-/// (mechanism, policy) cell with the ledger-derived metrics.
-pub fn json_section() -> String {
-    let cells = results()
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"system\": \"{}\", \"policy\": \"{}\", \"cores\": {}, \"clients\": {}, \
-                 \"requests\": {}, \"throughput_rps\": {:.1}, \"mean_us\": {:.2}, \
-                 \"p50_us\": {:.2}, \"p95_us\": {:.2}, \"p99_us\": {:.2}, \
-                 \"cross_core_fraction\": {:.4}}}",
-                r.system,
-                r.policy,
-                r.cores,
-                r.clients,
-                r.requests,
-                r.throughput_rps,
-                r.mean_us,
-                r.p50_us,
-                r.p95_us,
-                r.p99_us,
-                r.cross_core_fraction()
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!("[\n{cells}\n  ]")
 }
 
 #[cfg(test)]
@@ -156,6 +151,14 @@ mod tests {
     fn grid_covers_mechanisms_by_policies() {
         let rows = results();
         assert_eq!(rows.len(), 4 * 4);
+        for sys in ["Zircon", "Zircon-XPC", "seL4-onecopy", "seL4-XPC"] {
+            for policy in ["same-core", "pinned", "round-robin", "least-loaded"] {
+                assert!(
+                    rows.iter().any(|r| r.system == sys && r.policy == policy),
+                    "missing cell {sys} / {policy}"
+                );
+            }
+        }
         for r in &rows {
             assert_eq!(r.cores, CORES);
             assert_eq!(r.requests, LoadGen::default().requests);

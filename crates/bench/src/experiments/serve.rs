@@ -30,7 +30,8 @@
 //!   counts. The controller starts at one core and earns the rest from
 //!   observed backlog.
 
-use super::Report;
+use super::{Output, Report};
+use crate::json::Json;
 use kernels::{Sel4, Sel4Transfer, XpcIpc, Zircon};
 use services::http::{chain_steps, ChainSpec, CHAIN_SERVICES};
 use simos::serve::{serve_with, ServeScratch};
@@ -436,158 +437,146 @@ fn fmt_rho(rho_x10: u64) -> String {
 }
 
 /// Regenerate the serve table (the knee grid, with the admission sweep
-/// appended; bursty and autoscale live in the JSON section).
-pub fn run() -> Report {
-    let mut rows: Vec<Vec<String>> = knee_results()
-        .iter()
-        .map(|c| {
-            let r = &c.report;
-            vec![
-                r.system.clone(),
-                c.topology.to_string(),
-                fmt_rho(c.rho_x10),
-                format!("{:.0}", r.offered_rps),
-                format!("{:.0}", r.goodput_rps),
-                format!("{:.2}%", r.shed_rate() * 100.0),
-                format!("{:.1}", r.p50_us),
-                format!("{:.1}", r.p99_us),
-                format!("{:.0}%", r.queue_fraction() * 100.0),
-                r.tenants.iter().filter(|t| t.slo_met).count().to_string(),
-            ]
-        })
-        .collect();
-    for c in admission_results() {
-        let r = &c.report;
-        rows.push(vec![
-            format!("{} cap={}", r.system, c.queue_cap),
+/// appended) and its `"serve"` JSON section: knee + admission + bursty +
+/// autoscale. Fully deterministic (virtual time only — no wall-clock
+/// numbers, unlike `simspeed`).
+pub fn run() -> Output {
+    let knee = knee_results();
+    let admission = admission_results();
+    let knee_rows = knee.iter().map(|c| {
+        let labels = [
+            c.report.system.clone(),
+            c.topology.to_string(),
+            fmt_rho(c.rho_x10),
+        ];
+        table_row(labels, &c.report)
+    });
+    let admission_rows = admission.iter().map(|c| {
+        let labels = [
+            format!("{} cap={}", c.report.system, c.queue_cap),
             "u500".into(),
             fmt_rho(15),
+        ];
+        table_row(labels, &c.report)
+    });
+    let rows = knee_rows.chain(admission_rows).collect();
+    let knee = Json::array(knee.iter().map(|c| {
+        let r = &c.report;
+        Json::object([
+            ("system", r.system.as_str().into()),
+            ("topology", c.topology.into()),
+            ("rho_x10", c.rho_x10.into()),
+            ("capacity_period_cycles", c.capacity_period_cycles.into()),
+            ("offered", r.offered.into()),
+            ("admitted", r.admitted.into()),
+            ("shed", r.shed().into()),
+            ("offered_rps", Json::Fixed(r.offered_rps, 1)),
+            ("goodput_rps", Json::Fixed(r.goodput_rps, 1)),
+            ("p50_us", Json::Fixed(r.p50_us, 2)),
+            ("p95_us", Json::Fixed(r.p95_us, 2)),
+            ("p99_us", Json::Fixed(r.p99_us, 2)),
+            ("queue_fraction", Json::Fixed(r.queue_fraction(), 4)),
+            ("slo_met_tenants", slo_met_tenants(r).into()),
+        ])
+    }));
+    let admission = Json::array(admission.iter().map(|c| {
+        Json::object(
+            [
+                ("system", c.report.system.as_str().into()),
+                ("queue_cap", c.queue_cap.into()),
+            ]
+            .into_iter()
+            .chain(outcome_json(&c.report)),
+        )
+    }));
+    let bursty = Json::array(bursty_results().iter().map(|c| {
+        Json::object(
+            [
+                ("system", c.report.system.as_str().into()),
+                ("process", c.process.into()),
+            ]
+            .into_iter()
+            .chain(outcome_json(&c.report)),
+        )
+    }));
+    let autoscale = Json::array(autoscale_results().iter().map(|c| {
+        let controller = c.report.autoscale.map(|a| {
+            Json::object([
+                ("grow_events", a.grow_events.into()),
+                ("shrink_events", a.shrink_events.into()),
+                ("max_active", a.max_active.into()),
+                ("final_active", a.final_active.into()),
+            ])
+        });
+        Json::object(
+            [
+                ("system", c.report.system.as_str().into()),
+                ("policy", c.policy.into()),
+            ]
+            .into_iter()
+            .chain(outcome_json(&c.report))
+            .chain([("controller", controller.into())]),
+        )
+    }));
+    Output {
+        report: Report {
+            id: "Serve",
+            caption: "Open-loop Poisson serving: p99 vs offered load (rho of calibrated capacity), 4k arrivals/cell, plus the rho=1.5 admission sweep",
+            headers: vec![
+                "System".into(),
+                "Topology".into(),
+                "rho".into(),
+                "Offered/s".into(),
+                "Goodput/s".into(),
+                "Shed".into(),
+                "p50 us".into(),
+                "p99 us".into(),
+                "queue".into(),
+                "SLO met".into(),
+            ],
+            rows,
+        },
+        json: Some(Json::object([
+            ("knee", knee),
+            ("admission", admission),
+            ("bursty", bursty),
+            ("autoscale", autoscale),
+        ])),
+    }
+}
+
+fn slo_met_tenants(r: &ServeReport) -> usize {
+    r.tenants.iter().filter(|t| t.slo_met).count()
+}
+
+/// One serve table row: the cell's three label columns, then its outcome.
+fn table_row(labels: [String; 3], r: &ServeReport) -> Vec<String> {
+    labels
+        .into_iter()
+        .chain([
             format!("{:.0}", r.offered_rps),
             format!("{:.0}", r.goodput_rps),
             format!("{:.2}%", r.shed_rate() * 100.0),
             format!("{:.1}", r.p50_us),
             format!("{:.1}", r.p99_us),
             format!("{:.0}%", r.queue_fraction() * 100.0),
-            r.tenants.iter().filter(|t| t.slo_met).count().to_string(),
-        ]);
-    }
-    Report {
-        id: "Serve",
-        caption: "Open-loop Poisson serving: p99 vs offered load (rho of calibrated capacity), 4k arrivals/cell, plus the rho=1.5 admission sweep",
-        headers: vec![
-            "System".into(),
-            "Topology".into(),
-            "rho".into(),
-            "Offered/s".into(),
-            "Goodput/s".into(),
-            "Shed".into(),
-            "p50 us".into(),
-            "p99 us".into(),
-            "queue".into(),
-            "SLO met".into(),
-        ],
-        rows,
-    }
+            slo_met_tenants(r).to_string(),
+        ])
+        .collect()
 }
 
-fn knee_json(cells: &[KneeCell]) -> String {
-    cells
-        .iter()
-        .map(|c| {
-            let r = &c.report;
-            format!(
-                "      {{\"system\": \"{}\", \"topology\": \"{}\", \"rho_x10\": {}, \
-                 \"capacity_period_cycles\": {}, \"offered\": {}, \"admitted\": {}, \"shed\": {}, \
-                 \"offered_rps\": {:.1}, \"goodput_rps\": {:.1}, \"p50_us\": {:.2}, \
-                 \"p95_us\": {:.2}, \"p99_us\": {:.2}, \"queue_fraction\": {:.4}, \
-                 \"slo_met_tenants\": {}}}",
-                r.system,
-                c.topology,
-                c.rho_x10,
-                c.capacity_period_cycles,
-                r.offered,
-                r.admitted,
-                r.shed(),
-                r.offered_rps,
-                r.goodput_rps,
-                r.p50_us,
-                r.p95_us,
-                r.p99_us,
-                r.queue_fraction(),
-                r.tenants.iter().filter(|t| t.slo_met).count(),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n")
-}
-
-fn report_core_json(r: &ServeReport) -> String {
-    format!(
-        "\"offered\": {}, \"admitted\": {}, \"shed_queue_full\": {}, \"shed_backlog\": {}, \
-         \"shed_rate\": {:.4}, \"goodput_rps\": {:.1}, \"p50_us\": {:.2}, \"p99_us\": {:.2}",
-        r.offered,
-        r.admitted,
-        r.shed_queue_full,
-        r.shed_backlog,
-        r.shed_rate(),
-        r.goodput_rps,
-        r.p50_us,
-        r.p99_us,
-    )
-}
-
-/// The `"serve"` section of `BENCH_figures.json`: knee + admission +
-/// bursty + autoscale. Fully deterministic (virtual time only — no
-/// wall-clock numbers, unlike `simspeed`).
-pub fn json_section() -> String {
-    let knee = knee_json(&knee_results());
-    let admission = admission_results()
-        .iter()
-        .map(|c| {
-            format!(
-                "      {{\"system\": \"{}\", \"queue_cap\": {}, {}}}",
-                c.report.system,
-                c.queue_cap,
-                report_core_json(&c.report)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let bursty = bursty_results()
-        .iter()
-        .map(|c| {
-            format!(
-                "      {{\"system\": \"{}\", \"process\": \"{}\", {}}}",
-                c.report.system,
-                c.process,
-                report_core_json(&c.report)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let autoscale = autoscale_results()
-        .iter()
-        .map(|c| {
-            let auto = c.report.autoscale.map_or("null".to_string(), |a| {
-                format!(
-                    "{{\"grow_events\": {}, \"shrink_events\": {}, \"max_active\": {}, \
-                     \"final_active\": {}}}",
-                    a.grow_events, a.shrink_events, a.max_active, a.final_active
-                )
-            });
-            format!(
-                "      {{\"system\": \"{}\", \"policy\": \"{}\", {}, \"controller\": {auto}}}",
-                c.report.system,
-                c.policy,
-                report_core_json(&c.report)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!(
-        "{{\n    \"knee\": [\n{knee}\n    ],\n    \"admission\": [\n{admission}\n    ],\n    \
-         \"bursty\": [\n{bursty}\n    ],\n    \"autoscale\": [\n{autoscale}\n    ]\n  }}"
-    )
+/// The outcome fields the admission, bursty and autoscale cells share.
+fn outcome_json(r: &ServeReport) -> [(&'static str, Json); 8] {
+    [
+        ("offered", r.offered.into()),
+        ("admitted", r.admitted.into()),
+        ("shed_queue_full", r.shed_queue_full.into()),
+        ("shed_backlog", r.shed_backlog.into()),
+        ("shed_rate", Json::Fixed(r.shed_rate(), 4)),
+        ("goodput_rps", Json::Fixed(r.goodput_rps, 1)),
+        ("p50_us", Json::Fixed(r.p50_us, 2)),
+        ("p99_us", Json::Fixed(r.p99_us, 2)),
+    ]
 }
 
 #[cfg(test)]
@@ -693,6 +682,9 @@ mod tests {
             assert_eq!(poisson.process, "poisson");
             assert_eq!(onoff.process, "on-off");
             assert_eq!(poisson.report.system, onoff.report.system);
+            for c in pair {
+                assert_eq!(c.report.admitted + c.report.shed(), c.report.offered);
+            }
             assert!(
                 onoff.report.p99_us > poisson.report.p99_us,
                 "{}: on-off p99 {} vs poisson {}",
@@ -717,16 +709,5 @@ mod tests {
         for c in &cells {
             assert_eq!(c.report.admitted + c.report.shed(), c.report.offered);
         }
-    }
-
-    #[test]
-    fn json_section_is_shaped() {
-        let s = json_section();
-        for key in ["\"knee\"", "\"admission\"", "\"bursty\"", "\"autoscale\""] {
-            assert!(s.contains(key), "missing {key}");
-        }
-        assert!(s.contains("\"rho_x10\": 10"));
-        assert!(s.contains("\"shed_rate\""));
-        assert!(s.contains("\"grow_events\""));
     }
 }

@@ -25,6 +25,7 @@
 //! section of `BENCH_figures.json` (suppressed by `figures
 //! --no-simspeed`) and the `simspeed` binary, whose gates CI runs.
 
+use crate::json::Json;
 use kernels::XpcIpc;
 use simos::{
     Attribution, CycleLedger, IpcSystem, LedgerArena, LoadGen, LoadReport, MultiWorld, Phase,
@@ -370,34 +371,29 @@ pub fn measure_par() -> ParReport {
 
 /// The `"simspeed"` section of `BENCH_figures.json`: the three serial
 /// attribution modes plus the parallel-sweep rows.
-pub fn json_section(r: &SimspeedReport, p: &ParReport) -> String {
-    format!(
-        "{{\"requests\": {}, \"pre_refactor_full_rps\": {:.0}, \
-         \"full_rps\": {:.0}, \"sampled_rps\": {:.0}, \
-         \"sampled_every\": {}, \"speedup_sampled_vs_pre_refactor\": {:.2}, \
-         \"full_arena_steady\": {}, \"sampled_arena_steady\": {}, \
-         \"par_threads\": {}, \"hw_threads\": {}, \"par_cells\": {}, \
-         \"par_requests_per_cell\": {}, \"serial_grid_rps\": {:.0}, \
-         \"par_grid_rps\": {:.0}, \"par_speedup\": {:.2}, \
-         \"par_identical\": {}, \"par_arena_steady\": {}}}",
-        r.requests,
-        r.pre_refactor_full_rps,
-        r.full_rps,
-        r.sampled_rps,
-        r.sampled_every,
-        r.speedup,
-        r.full_arena_steady,
-        r.sampled_arena_steady,
-        p.threads,
-        p.hw_threads,
-        p.cells,
-        p.requests_per_cell,
-        p.serial_grid_rps,
-        p.par_grid_rps,
-        p.par_speedup,
-        p.identical,
-        p.par_arena_steady
-    )
+pub fn json(r: &SimspeedReport, p: &ParReport) -> Json {
+    Json::object([
+        ("requests", r.requests.into()),
+        (
+            "pre_refactor_full_rps",
+            Json::Fixed(r.pre_refactor_full_rps, 0),
+        ),
+        ("full_rps", Json::Fixed(r.full_rps, 0)),
+        ("sampled_rps", Json::Fixed(r.sampled_rps, 0)),
+        ("sampled_every", r.sampled_every.into()),
+        ("speedup_sampled_vs_pre_refactor", Json::Fixed(r.speedup, 2)),
+        ("full_arena_steady", r.full_arena_steady.into()),
+        ("sampled_arena_steady", r.sampled_arena_steady.into()),
+        ("par_threads", p.threads.into()),
+        ("hw_threads", p.hw_threads.into()),
+        ("par_cells", p.cells.into()),
+        ("par_requests_per_cell", p.requests_per_cell.into()),
+        ("serial_grid_rps", Json::Fixed(p.serial_grid_rps, 0)),
+        ("par_grid_rps", Json::Fixed(p.par_grid_rps, 0)),
+        ("par_speedup", Json::Fixed(p.par_speedup, 2)),
+        ("par_identical", p.identical.into()),
+        ("par_arena_steady", p.par_arena_steady.into()),
+    ])
 }
 
 #[cfg(test)]
@@ -482,11 +478,14 @@ mod tests {
             identical: true,
             par_arena_steady: true,
         };
-        let s = json_section(&r, &p);
-        assert!(s.contains("\"sampled_every\": 64"));
-        assert!(s.contains("\"requests\": 4000"));
-        assert!(s.contains("\"par_threads\": 4"));
-        assert!(s.contains("\"par_identical\": true"));
+        let Json::Object(fields) = json(&r, &p) else {
+            panic!("the simspeed section is an object");
+        };
+        let field = |key: &str| fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v);
+        assert_eq!(field("sampled_every"), Some(&Json::Int(SAMPLED_EVERY)));
+        assert_eq!(field("requests"), Some(&Json::Int(4_000)));
+        assert_eq!(field("par_threads"), Some(&Json::from(PAR_THREADS)));
+        assert_eq!(field("par_identical"), Some(&Json::Bool(true)));
     }
 
     #[test]

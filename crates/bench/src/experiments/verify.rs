@@ -22,7 +22,8 @@
 //!   invocation shape the experiments use must decompose exactly into
 //!   its phase ledger.
 
-use super::{pipeline, Report};
+use super::{pipeline, Output, Report};
+use crate::json::Json;
 use services::http::{chain_steps, ChainSpec, CHAIN_SERVICES};
 use simos::{CallProgram, Step};
 use xpc_verify::{crafted, lint, preflight, preflight_program, verify};
@@ -176,9 +177,10 @@ pub fn results() -> Vec<Row> {
     rows
 }
 
-/// Regenerate the verify table.
-pub fn run() -> Report {
-    let rows = results()
+/// Regenerate the verify table and its `"verify"` JSON section.
+pub fn run() -> Output {
+    let results = results();
+    let rows = results
         .iter()
         .map(|r| {
             vec![
@@ -191,36 +193,33 @@ pub fn run() -> Report {
             ]
         })
         .collect();
-    Report {
-        id: "Verify",
-        caption:
-            "Static pre-flight: crafted plans refuted with the predicted Cause, figure recipes and roster ledgers proved clean",
-        headers: vec![
-            "Group".into(),
-            "Subject".into(),
-            "Expected".into(),
-            "Verdict".into(),
-            "Findings".into(),
-            "OK".into(),
-        ],
-        rows,
+    let json = Json::array(results.iter().map(|r| {
+        Json::object([
+            ("group", r.group.into()),
+            ("subject", r.subject.as_str().into()),
+            ("expected", r.expected.as_str().into()),
+            ("verdict", r.verdict.as_str().into()),
+            ("findings", r.findings.into()),
+            ("ok", r.ok.into()),
+        ])
+    }));
+    Output {
+        report: Report {
+            id: "Verify",
+            caption:
+                "Static pre-flight: crafted plans refuted with the predicted Cause, figure recipes and roster ledgers proved clean",
+            headers: vec![
+                "Group".into(),
+                "Subject".into(),
+                "Expected".into(),
+                "Verdict".into(),
+                "Findings".into(),
+                "OK".into(),
+            ],
+            rows,
+        },
+        json: Some(json),
     }
-}
-
-/// The `"verify"` section of `BENCH_figures.json`.
-pub fn json_section() -> String {
-    let cells = results()
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"group\": \"{}\", \"subject\": \"{}\", \"expected\": \"{}\", \
-                 \"verdict\": \"{}\", \"findings\": {}, \"ok\": {}}}",
-                r.group, r.subject, r.expected, r.verdict, r.findings, r.ok
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!("[\n{cells}\n  ]")
 }
 
 #[cfg(test)]
@@ -279,14 +278,5 @@ mod tests {
             bytes: 8,
         }]];
         gate("test-figure", 2, &rogue);
-    }
-
-    #[test]
-    fn json_section_is_shaped() {
-        let s = json_section();
-        assert!(s.contains("\"group\": \"crafted\""));
-        assert!(s.contains("\"verdict\": \"invalid-linkage\""));
-        assert!(s.contains("\"ok\": true"));
-        assert!(!s.contains("\"ok\": false"));
     }
 }

@@ -142,8 +142,9 @@ impl CallBench {
         assert!(save_area_bytes(cfg.context) <= 4096);
 
         // Client: an endless loop of wrapped calls (the host steps the
-        // machine and decides when to stop; criterion may demand millions
-        // of laps from one fixture).
+        // machine and decides when to stop: `EmulatedXpc` measures a few
+        // laps per priced hop, and perfbench's `guest` workload steps
+        // millions of instructions through one fixture).
         let mut a = Assembler::new(USER_CODE_VA);
         a.label("loop");
         if cfg.prefetch {

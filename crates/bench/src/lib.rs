@@ -19,6 +19,8 @@
 
 pub mod experiments;
 pub mod harness;
+pub mod json;
 pub mod sweep;
 
 pub use harness::{CallBench, CallBenchConfig, EmulatedXpc};
+pub use json::Json;

@@ -1,6 +1,6 @@
 //! Registry-driven sweep harness: run any roster of [`IpcSystem`]s over a
 //! size axis and render the resulting [`Invocation`]s — as cycle tables,
-//! as phase-attributed ledger tables, or as a JSON dump for plotting.
+//! as phase-attributed ledger tables, or as JSON for plotting.
 //!
 //! Every per-figure module used to hand-roll its own loop over systems
 //! and sizes; they now all call [`sweep`] and format the shared
@@ -8,6 +8,7 @@
 //! view of the ledger".
 
 use crate::experiments::Report;
+use crate::json::Json;
 use kernels::{Invocation, InvokeOpts, IpcSystem};
 use simos::oneway;
 
@@ -125,87 +126,38 @@ pub fn ledger_table(
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+/// One invocation as JSON: size, total, copied bytes and the per-phase
+/// cycles in ledger order.
+pub fn invocation_json(msg_len: usize, inv: &Invocation) -> Json {
+    Json::object([
+        ("msg_len", msg_len.into()),
+        ("total", inv.total.into()),
+        ("copied_bytes", inv.copied_bytes.into()),
+        (
+            "phases",
+            Json::object(inv.ledger.spans().iter().map(|&(p, c)| (p.key(), c.into()))),
+        ),
+    ])
 }
 
-fn json_invocation(msg_len: usize, inv: &Invocation) -> String {
-    let phases = inv
-        .ledger
-        .spans()
-        .iter()
-        .map(|(p, c)| format!("\"{}\": {c}", p.key()))
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "{{\"msg_len\": {msg_len}, \"total\": {}, \"copied_bytes\": {}, \"phases\": {{{phases}}}}}",
-        inv.total, inv.copied_bytes
-    )
-}
-
-/// Serialize sweep rows plus extra labelled invocations (e.g. the Figure 5
-/// ablation ladder) as the `BENCH_figures.json` document: per-system,
-/// per-size, per-phase cycle attributions. `raw` appends pre-rendered
-/// JSON values as further top-level sections (e.g. the scale-out grid,
-/// whose rows are load reports rather than invocations).
-pub fn json_dump(
-    rows: &[SweepRow],
-    extra: &[(&str, Vec<(String, Invocation)>)],
-    raw: &[(&str, String)],
-) -> String {
-    let mut out = String::from("{\n  \"systems\": [\n");
-    let systems = rows
-        .iter()
-        .map(|r| {
-            let points = r
-                .points
-                .iter()
-                .map(|(b, inv)| format!("      {}", json_invocation(*b, inv)))
-                .collect::<Vec<_>>()
-                .join(",\n");
-            format!(
-                "    {{\"name\": \"{}\", \"points\": [\n{points}\n    ]}}",
-                json_escape(&r.system)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    out.push_str(&systems);
-    out.push_str("\n  ]");
-    for (key, cols) in extra {
-        out.push_str(&format!(",\n  \"{}\": [\n", json_escape(key)));
-        let items = cols
-            .iter()
-            .map(|(name, inv)| {
-                format!(
-                    "    {{\"name\": \"{}\", \"invocation\": {}}}",
-                    json_escape(name),
-                    json_invocation(0, inv)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        out.push_str(&items);
-        out.push_str("\n  ]");
-    }
-    for (key, value) in raw {
-        out.push_str(&format!(",\n  \"{}\": {value}", json_escape(key)));
-    }
-    out.push_str("\n}\n");
-    out
+/// Sweep rows as the `systems` section of `BENCH_figures.json`: per
+/// system, one [`invocation_json`] per size.
+pub fn roster_json(rows: &[SweepRow]) -> Json {
+    Json::array(rows.iter().map(|r| {
+        Json::object([
+            ("name", r.system.as_str().into()),
+            (
+                "points",
+                Json::array(r.points.iter().map(|(b, inv)| invocation_json(*b, inv))),
+            ),
+        ])
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kernels::{Phase, Sel4, Sel4Transfer};
+    use kernels::{Sel4, Sel4Transfer};
 
     #[test]
     fn roster_sweep_covers_every_system_and_size() {
@@ -238,30 +190,5 @@ mod tests {
         let sum = t.rows.last().unwrap();
         assert_eq!(sum[1], cols[0].1.total.to_string());
         assert_eq!(sum[2], cols[1].1.total.to_string());
-    }
-
-    #[test]
-    fn json_dump_is_parseable_shape() {
-        let mut s = Sel4::new(Sel4Transfer::OneCopy);
-        let rows = sweep(
-            vec![Box::new(Sel4::new(Sel4Transfer::OneCopy))],
-            &[0, 64],
-            &InvokeOpts::call(),
-        );
-        let extra = vec![(
-            "fig5",
-            vec![("bar".to_string(), oneway(&mut s, 0, &InvokeOpts::call()))],
-        )];
-        let raw = vec![("scale", "[{\"x\": 1}]".to_string())];
-        let j = json_dump(&rows, &extra, &raw);
-        assert!(j.starts_with("{\n"));
-        assert!(j.trim_end().ends_with('}'));
-        assert!(j.contains("\"seL4-onecopy\""), "{j}");
-        assert!(j.contains(&format!("\"{}\"", Phase::Trap.key())));
-        assert!(j.contains("\"fig5\""));
-        assert!(j.contains("\"scale\": [{\"x\": 1}]"));
-        // Balanced braces/brackets — a cheap well-formedness proxy.
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
     }
 }

@@ -1,36 +1,31 @@
-//! Snapshot test: the committed `figures/golden.txt` must match what the
-//! `figures` renderer produces in-process today, so any figure regression
-//! fails `cargo test` instead of silently rotting the checked-in output.
+//! Snapshot test: every registry experiment is computed once, and both
+//! renderings of that one computation must match the committed files —
+//! the text tables against `figures/golden.txt` and the JSON sections
+//! (with the roster sweep, without the wall-clock `simspeed` section)
+//! against `figures/golden.json`. Any model change fails `cargo test`
+//! instead of silently rotting the checked-in output.
 //!
 //! To refresh after an intentional model change:
 //!
 //! ```text
 //! cargo run --release -p xpc-bench --bin figures -- all > figures/golden.txt
+//! cargo run --release -p xpc-bench --bin figures -- --threads 1 --json --no-simspeed all
+//! cp BENCH_figures.json figures/golden.json
 //! ```
 
-use xpc_bench::experiments;
-
-fn render_all() -> String {
-    experiments::all()
-        .into_iter()
-        .map(|(_, run)| format!("{}\n", run().render()))
-        .collect()
-}
+mod common;
 
 #[test]
-fn figures_match_the_committed_golden() {
-    let golden = include_str!("../../../figures/golden.txt");
-    let fresh = render_all();
-    if golden != fresh {
-        // Report the first diverging line, not a 300-line dump.
-        for (i, (g, f)) in golden.lines().zip(fresh.lines()).enumerate() {
-            assert_eq!(g, f, "figures/golden.txt diverges at line {}", i + 1);
-        }
-        assert_eq!(
-            golden.lines().count(),
-            fresh.lines().count(),
-            "figures/golden.txt has a different number of lines"
-        );
-        panic!("golden mismatch not attributable to a single line");
-    }
+fn figures_match_the_committed_goldens() {
+    let (text, doc) = simos::par::with_threads(1, common::render_all);
+    common::assert_same_lines(
+        "figures/golden.txt",
+        include_str!("../../../figures/golden.txt"),
+        &text,
+    );
+    common::assert_same_lines(
+        "figures/golden.json",
+        include_str!("../../../figures/golden.json"),
+        &doc,
+    );
 }

@@ -1,17 +1,17 @@
-//! Differential tests for the sweep pool: every pool-driven experiment
-//! must render — table and JSON section alike — byte-identically for
-//! worker counts 1, 2, and 8. The single-worker run takes the plain
-//! serial code path (`simos::par::map_cells_on` loops in-order on the
-//! calling thread), so it is the oracle the parallel runs are diffed
-//! against, the same pinning pattern as the load driver's linear-scan
-//! oracle tests.
+//! Differential test for the sweep pool: every registry experiment's
+//! text table and the whole `--no-simspeed` `BENCH_figures.json`
+//! document (every JSON section plus the roster sweep) must render
+//! byte-identically for worker counts 1, 2 and 8. The single-worker run
+//! takes the plain serial code path (`simos::par::map_cells_on` loops
+//! in-order on the calling thread), so it is the oracle the parallel
+//! runs are diffed against.
 //!
 //! `with_threads` pins the worker count via a *thread-local* override,
-//! so these tests cannot race each other under the parallel test
-//! harness.
+//! so this test cannot race the others under the parallel test harness.
+
+mod common;
 
 use simos::par::with_threads;
-use xpc_bench::{experiments, sweep};
 
 /// The parallel worker counts diffed against the 1-worker oracle: one
 /// below the typical cell count and one above several grids' axes (8
@@ -19,73 +19,13 @@ use xpc_bench::{experiments, sweep};
 /// workers-capped-to-cells path).
 const WORKER_COUNTS: [usize; 2] = [2, 8];
 
-fn assert_worker_count_invariant(label: &str, produce: impl Fn() -> String) {
-    let oracle = with_threads(1, &produce);
-    assert!(!oracle.is_empty(), "{label}: empty oracle output");
+#[test]
+fn every_experiment_is_worker_count_invariant() {
+    let (text, doc) = with_threads(1, common::render_all);
     for workers in WORKER_COUNTS {
-        let got = with_threads(workers, &produce);
-        assert_eq!(got, oracle, "{label} diverges at {workers} workers");
+        let (got_text, got_doc) = with_threads(workers, common::render_all);
+        let at = |what: &str| format!("{what} at {workers} workers");
+        common::assert_same_lines(&at("figure text"), &text, &got_text);
+        common::assert_same_lines(&at("JSON document"), &doc, &got_doc);
     }
-}
-
-#[test]
-fn scale_grid_is_worker_count_invariant() {
-    assert_worker_count_invariant("scale", || {
-        format!(
-            "{}\n{}",
-            experiments::scale::run().render(),
-            experiments::scale::json_section()
-        )
-    });
-}
-
-#[test]
-fn pipeline_grid_is_worker_count_invariant() {
-    assert_worker_count_invariant("pipeline", || {
-        format!(
-            "{}\n{}",
-            experiments::pipeline::run().render(),
-            experiments::pipeline::json_section()
-        )
-    });
-}
-
-#[test]
-fn numa_grid_is_worker_count_invariant() {
-    // json_section covers both the hop cells and the load grid; render
-    // covers the table path.
-    assert_worker_count_invariant("numa", || {
-        format!(
-            "{}\n{}",
-            experiments::numa::run().render(),
-            experiments::numa::json_section()
-        )
-    });
-}
-
-#[test]
-fn serve_grids_are_worker_count_invariant() {
-    // json_section runs all four serve views (knee, admission, bursty,
-    // autoscale) including their calibration phases; render re-runs the
-    // knee + admission views through the table path.
-    assert_worker_count_invariant("serve json", experiments::serve::json_section);
-    assert_worker_count_invariant("serve render", || experiments::serve::run().render());
-}
-
-#[test]
-fn verify_rows_are_worker_count_invariant() {
-    assert_worker_count_invariant("verify", || {
-        format!(
-            "{}\n{}",
-            experiments::verify::run().render(),
-            experiments::verify::json_section()
-        )
-    });
-}
-
-#[test]
-fn roster_sweep_is_worker_count_invariant() {
-    assert_worker_count_invariant("roster sweep", || {
-        sweep::json_dump(&sweep::roster_sweep(), &[], &[])
-    });
 }
