@@ -18,11 +18,14 @@ echo "== clippy =="
 # review, not a gate.
 cargo clippy --workspace --all-targets -- -D warnings -A clippy::cast-possible-truncation
 
-echo "== clippy (simos: cast_possible_truncation promoted to error) =="
+echo "== clippy (simos: cast_possible_truncation and too_many_lines promoted to error) =="
 # The invocation hot path lives in simos; there every u64 -> usize (and
 # f64 -> int) crossing is either proven in-range or an explicit allow
-# with the bound stated.
-cargo clippy -p simos --all-targets -- -D warnings -D clippy::cast-possible-truncation
+# with the bound stated. The serving engine is the crate's one request
+# loop; too_many_lines keeps it (and every other function) within the
+# default limit instead of growing a second loop inside the first.
+cargo clippy -p simos --all-targets -- \
+  -D warnings -D clippy::cast-possible-truncation -D clippy::too-many-lines
 
 echo "== clippy (xpc-verify: missing_panics_doc promoted to error) =="
 # The verifier is the library other tools call blind; every pub fn that

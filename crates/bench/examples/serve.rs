@@ -23,7 +23,12 @@ fn main() {
     // Measure this (mechanism, topology, recipe mix)'s saturation
     // period, then express offered load as a fraction of it.
     let topo = Topology::u500();
-    let period = xpc_bench::experiments::serve::calibrate_capacity_period(&topo, mk, &recipes);
+    let mut probe_world = MultiWorld::builder().topology(topo.clone()).build(mk);
+    let period = xpc_bench::experiments::serve::calibrate_capacity_period(
+        &mut probe_world,
+        &recipes,
+        CHAIN_SERVICES,
+    );
     println!("calibrated capacity: one request per {period} cycles at saturation\n");
 
     let spec = ServeSpec {

@@ -21,14 +21,13 @@
 //! [`super::verify::gate_program`] refuses cap-violating, over-deep, or
 //! handover-stealing chains outright.
 
+use super::serve::{calibrate_capacity_period, interarrival, knee_spec, poisson, run_cell};
 use super::{Output, Report};
 use crate::json::Json;
 use kernels::{Sel4, Sel4Transfer, XpcIpc, Zircon};
-use simos::serve::{serve_with, ServeScratch};
 use simos::{
-    ArrivalProcess, ArrivalTrace, Attribution, CallProgram, CycleLedger, IpcSystem, LedgerArena,
-    MultiWorld, OpenLoopGen, PhaseTotals, Placement, Recipe, ServePolicy, ServeReport, ServeSpec,
-    Step, TenantClass, Topology,
+    CallProgram, CycleLedger, IpcSystem, MultiWorld, Placement, Recipe, ServePolicy, ServeReport,
+    Step, Topology,
 };
 
 /// Chain depths the grid sweeps.
@@ -45,9 +44,6 @@ pub const REPLY_BYTES: u64 = 256;
 
 /// Chain depth of the open-loop knee view.
 pub const KNEE_DEPTH: usize = 4;
-
-/// Retain 1-in-N spans; totals stay exact.
-const SAMPLE_EVERY: u64 = 32;
 
 type Mk = fn() -> Box<dyn IpcSystem>;
 
@@ -152,28 +148,6 @@ pub struct FuseKneeCell {
     pub report: ServeReport,
 }
 
-fn knee_spec() -> ServeSpec {
-    ServeSpec {
-        tenants: super::serve::TENANTS,
-        classes: vec![TenantClass {
-            // Generous: the fused knee shows queueing, not shedding.
-            queue_cap: 1 << 20,
-            slo_p99_us: super::serve::SLO_P99_US,
-        }],
-        backlog_cap_cycles: 0,
-    }
-}
-
-fn poisson(mean: u64) -> OpenLoopGen {
-    OpenLoopGen {
-        process: ArrivalProcess::Poisson,
-        mean_interarrival_cycles: mean,
-        tenants: super::serve::TENANTS,
-        users: 1_000_000,
-        seed: super::serve::SEED,
-    }
-}
-
 fn world(mk: Mk) -> MultiWorld {
     MultiWorld::builder().topology(Topology::u500()).build(mk)
 }
@@ -185,60 +159,19 @@ fn fused_recipes(mw: &mut MultiWorld) -> Vec<Vec<Step>> {
     vec![vec![Step::Fused(pid)]]
 }
 
-/// Measured saturation period for the fused chain on a mechanism: a
-/// back-to-back probe trace served on a cold world, makespan over
-/// request count (the fused sibling of
-/// [`super::serve::calibrate_capacity_period`], which cannot be reused
-/// because the program must be registered in the probed world).
-fn calibrate(mk: Mk) -> u64 {
-    let probe = poisson(1)
-        .trace(super::serve::CAPACITY_PROBE, 1)
-        .expect("probe trace spec is valid");
-    let mut mw = world(mk);
-    let recipes = fused_recipes(&mut mw);
-    let r = simos::serve::serve(
-        &mut mw,
-        &ServePolicy::Static(Placement::RoundRobin),
-        KNEE_DEPTH + 1,
-        &recipes,
-        &probe,
-        &knee_spec(),
-    )
-    .expect("fused calibration probe must serve");
-    (r.makespan_cycles / super::serve::CAPACITY_PROBE).max(1)
-}
-
-fn run_cell(
-    mw: &mut MultiWorld,
-    recipes: &[Vec<Step>],
-    trace: &ArrivalTrace,
-    scratch: &mut ServeScratch,
-    arena: &mut LedgerArena,
-) -> ServeReport {
-    let mut totals = PhaseTotals::new();
-    serve_with(
-        mw,
-        &ServePolicy::Static(Placement::RoundRobin),
-        KNEE_DEPTH + 1,
-        recipes,
-        trace,
-        &knee_spec(),
-        scratch,
-        Attribution::Sampled {
-            every: SAMPLE_EVERY,
-            totals: &mut totals,
-            arena,
-        },
-    )
-    .expect("fused serve cell must be runnable")
-}
-
 /// The fused knee: mechanism × offered load on u500, same seed at every
 /// ρ. Deterministic at any pool worker count: calibration runs as its
 /// own pool phase, then the ρ cells fan out with the period pinned.
 pub fn knee_results() -> Vec<FuseKneeCell> {
     super::verify::gate_program("Fuse-knee", KNEE_DEPTH + 1, &chain(KNEE_DEPTH, true));
-    let calibrated = simos::par::map_cells(mechanisms(), |_, mk, _| (mk, calibrate(mk)));
+    let calibrated = simos::par::map_cells(mechanisms(), |_, mk, _| {
+        let mut mw = world(mk);
+        let recipes = fused_recipes(&mut mw);
+        (
+            mk,
+            calibrate_capacity_period(&mut mw, &recipes, KNEE_DEPTH + 1),
+        )
+    });
     let mut cells: Vec<(Mk, u64, u64)> = Vec::new();
     for (mk, period) in calibrated {
         for rho_x10 in super::serve::RHO_X10 {
@@ -246,13 +179,20 @@ pub fn knee_results() -> Vec<FuseKneeCell> {
         }
     }
     simos::par::map_cells(cells, |_, (mk, period, rho_x10), cs| {
-        let mean = (period * 10 / rho_x10).max(1);
-        let trace = poisson(mean)
+        let trace = poisson(interarrival(period, rho_x10))
             .trace(super::serve::REQUESTS, 1)
             .expect("fused knee trace spec is valid");
         let mut mw = world(mk);
         let recipes = fused_recipes(&mut mw);
-        let report = run_cell(&mut mw, &recipes, &trace, &mut cs.serve, &mut cs.arena);
+        let report = run_cell(
+            &mut mw,
+            &ServePolicy::Static(Placement::RoundRobin),
+            KNEE_DEPTH + 1,
+            &recipes,
+            &trace,
+            &knee_spec(),
+            cs,
+        );
         FuseKneeCell {
             rho_x10,
             capacity_period_cycles: period,

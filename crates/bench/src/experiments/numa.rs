@@ -141,7 +141,7 @@ pub fn results() -> Vec<(&'static str, LoadReport)> {
             &recipes,
             &spec,
             WINDOW,
-            &mut scratch.sweep,
+            &mut scratch.serve,
             Attribution::Full(&mut scratch.arena),
         )
         .expect("NUMA grid cell must be runnable");

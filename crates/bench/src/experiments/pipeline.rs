@@ -99,7 +99,7 @@ pub fn results() -> Vec<(u64, LoadReport)> {
             &[recipe(batch)],
             &spec,
             window,
-            &mut scratch.sweep,
+            &mut scratch.serve,
             Attribution::Full(&mut scratch.arena),
         )
         .expect("pipeline grid cell must be runnable");
@@ -205,7 +205,9 @@ mod tests {
         // pre-windowed closed-loop report exactly, with no Queue spans.
         let mk = || -> Box<dyn IpcSystem> { Box::new(XpcIpc::sel4_xpc()) };
         let mut mw = MultiWorld::builder().cores(CORES).build(mk);
-        let closed = simos::load::run(&mut mw, &Placement::RoundRobin, 2, &[recipe(1)], &spec());
+        let closed =
+            simos::load::run_windowed(&mut mw, &Placement::RoundRobin, 2, &[recipe(1)], &spec(), 1)
+                .unwrap();
         let cell = results()
             .into_iter()
             .find(|(b, r)| *b == 1 && r.window == 1 && r.system == "seL4-XPC")

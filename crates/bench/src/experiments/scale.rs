@@ -81,7 +81,7 @@ pub fn results() -> Vec<LoadReport> {
             &recipes,
             &spec,
             1,
-            &mut scratch.sweep,
+            &mut scratch.serve,
             Attribution::Full(&mut scratch.arena),
         )
         .expect("scale grid cell must be runnable")

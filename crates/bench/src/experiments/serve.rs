@@ -34,9 +34,9 @@ use super::{Output, Report};
 use crate::json::Json;
 use kernels::{Sel4, Sel4Transfer, XpcIpc, Zircon};
 use services::http::{chain_steps, ChainSpec, CHAIN_SERVICES};
-use simos::serve::{serve_with, ServeScratch};
+use simos::serve::serve_with;
 use simos::{
-    ArrivalProcess, ArrivalTrace, Attribution, AutoscaleCfg, IpcSystem, LedgerArena, MultiWorld,
+    ArrivalProcess, ArrivalTrace, Attribution, AutoscaleCfg, CellScratch, IpcSystem, MultiWorld,
     OpenLoopGen, PhaseTotals, Placement, ServePolicy, ServeReport, ServeSpec, Step, TenantClass,
     Topology,
 };
@@ -106,24 +106,28 @@ fn world(topo: &Topology, mk: Mk) -> MultiWorld {
 pub const CAPACITY_PROBE: u64 = 512;
 
 /// Measured saturation period — mean cycles per completed request at
-/// full throughput — for a (mechanism, topology, recipe mix): a
-/// back-to-back probe trace (mean interarrival 1 cycle, same seed and
-/// recipe draws as the real traces) is served and its makespan divided
-/// by the request count. This is *empirical* capacity: it already
-/// includes cross-core hop costs and the head-of-line blocking a
-/// multi-core chain suffers under round-robin maps, which cap effective
-/// utilization well below `cores / per-request-work`. ρ expressed
-/// against it makes ρ = 1.0 the true knife edge.
-pub fn calibrate_capacity_period(topo: &Topology, mk: Mk, recipes: &[Vec<Step>]) -> u64 {
+/// full throughput — of `recipes` (over `n_services` services) on the
+/// caller-built cold world `mw`: a back-to-back probe trace (mean
+/// interarrival 1 cycle, same seed and recipe draws as the real traces)
+/// is served and its makespan divided by the request count. This is
+/// *empirical* capacity: it already includes cross-core hop costs and
+/// the head-of-line blocking a multi-core chain suffers under
+/// round-robin maps, which cap effective utilization well below
+/// `cores / per-request-work`. ρ expressed against it makes ρ = 1.0 the
+/// true knife edge.
+pub fn calibrate_capacity_period(
+    mw: &mut MultiWorld,
+    recipes: &[Vec<Step>],
+    n_services: usize,
+) -> u64 {
     let n_recipes = u32::try_from(recipes.len()).expect("roster fits u32");
     let probe = poisson(1)
         .trace(CAPACITY_PROBE, n_recipes)
         .expect("probe trace spec is valid");
-    let mut mw = world(topo, mk);
     let r = simos::serve::serve(
-        &mut mw,
+        mw,
         &ServePolicy::Static(Placement::RoundRobin),
-        CHAIN_SERVICES,
+        n_services,
         recipes,
         &probe,
         &knee_spec(),
@@ -134,15 +138,16 @@ pub fn calibrate_capacity_period(topo: &Topology, mk: Mk, recipes: &[Vec<Step>])
 
 /// Mean interarrival (cycles) putting `rho_x10`/10 of the measured
 /// capacity on offer: `period / ρ`.
-fn interarrival(capacity_period_cycles: u64, rho_x10: u64) -> u64 {
+pub(super) fn interarrival(capacity_period_cycles: u64, rho_x10: u64) -> u64 {
     (capacity_period_cycles * 10 / rho_x10).max(1)
 }
 
-fn knee_spec() -> ServeSpec {
+/// The knee views' serving spec (shared with the fused knee).
+pub(super) fn knee_spec() -> ServeSpec {
     ServeSpec {
         tenants: TENANTS,
         classes: vec![TenantClass {
-            // Generous: the knee view shows queueing, not shedding.
+            // Generous: the knee views show queueing, not shedding.
             queue_cap: 1 << 20,
             slo_p99_us: SLO_P99_US,
         }],
@@ -150,7 +155,8 @@ fn knee_spec() -> ServeSpec {
     }
 }
 
-fn poisson(mean: u64) -> OpenLoopGen {
+/// The seeded Poisson generator every serve view draws from.
+pub(super) fn poisson(mean: u64) -> OpenLoopGen {
     OpenLoopGen {
         process: ArrivalProcess::Poisson,
         mean_interarrival_cycles: mean,
@@ -160,30 +166,30 @@ fn poisson(mean: u64) -> OpenLoopGen {
     }
 }
 
-/// Serve one cell with shared scratch and sampled attribution (exact
-/// totals, 1-in-N retained spans).
-fn run_cell(
+/// Serve one cell with the pool worker's scratch and sampled
+/// attribution (exact totals, 1-in-N retained spans).
+pub(super) fn run_cell(
     mw: &mut MultiWorld,
     policy: &ServePolicy,
+    n_services: usize,
     recipes: &[Vec<Step>],
     trace: &ArrivalTrace,
     spec: &ServeSpec,
-    scratch: &mut ServeScratch,
-    arena: &mut LedgerArena,
+    cs: &mut CellScratch,
 ) -> ServeReport {
     let mut totals = PhaseTotals::new();
     serve_with(
         mw,
         policy,
-        CHAIN_SERVICES,
+        n_services,
         recipes,
         trace,
         spec,
-        scratch,
+        &mut cs.serve,
         Attribution::Sampled {
             every: SAMPLE_EVERY,
             totals: &mut totals,
-            arena,
+            arena: &mut cs.arena,
         },
     )
     .expect("serve cell must be runnable")
@@ -220,7 +226,7 @@ pub fn knee_results() -> Vec<KneeCell> {
         }
     }
     let calibrated = simos::par::map_cells(calib, |_, (mk, recipes, label, topo), _| {
-        let period = calibrate_capacity_period(&topo, mk, &recipes);
+        let period = calibrate_capacity_period(&mut world(&topo, mk), &recipes, CHAIN_SERVICES);
         (mk, recipes, label, topo, period)
     });
     // Phase B: the 48 (mechanism, topology, ρ) serve cells, each
@@ -244,11 +250,11 @@ pub fn knee_results() -> Vec<KneeCell> {
             let r = run_cell(
                 &mut mw,
                 &ServePolicy::Static(Placement::RoundRobin),
+                CHAIN_SERVICES,
                 &recipes,
                 &trace,
                 &spec,
-                &mut cs.serve,
-                &mut cs.arena,
+                cs,
             );
             KneeCell {
                 topology: label,
@@ -277,7 +283,7 @@ pub fn admission_results() -> Vec<AdmissionCell> {
     let recipes = recipes(mk().supports_handover());
     super::verify::gate("Serve-admission", CHAIN_SERVICES, &recipes);
     let topo = Topology::u500();
-    let period = calibrate_capacity_period(&topo, mk, &recipes);
+    let period = calibrate_capacity_period(&mut world(&topo, mk), &recipes, CHAIN_SERVICES);
     let mean = interarrival(period, 15);
     let n_recipes = u32::try_from(recipes.len()).expect("roster fits u32");
     let trace = poisson(mean)
@@ -298,11 +304,11 @@ pub fn admission_results() -> Vec<AdmissionCell> {
         let report = run_cell(
             &mut mw,
             &ServePolicy::Static(Placement::RoundRobin),
+            CHAIN_SERVICES,
             &recipes,
             &trace,
             &spec,
-            &mut cs.serve,
-            &mut cs.arena,
+            cs,
         );
         AdmissionCell { queue_cap, report }
     })
@@ -332,7 +338,7 @@ pub fn bursty_results() -> Vec<BurstyCell> {
         mechs.push((mk, recipes));
     }
     simos::par::map_cells(mechs, |_, (mk, recipes), cs| {
-        let period = calibrate_capacity_period(&topo, mk, &recipes);
+        let period = calibrate_capacity_period(&mut world(&topo, mk), &recipes, CHAIN_SERVICES);
         let mean = interarrival(period, 8);
         let n_recipes = u32::try_from(recipes.len()).expect("roster fits u32");
         [
@@ -357,11 +363,11 @@ pub fn bursty_results() -> Vec<BurstyCell> {
             let report = run_cell(
                 &mut mw,
                 &ServePolicy::Static(Placement::RoundRobin),
+                CHAIN_SERVICES,
                 &recipes,
                 &trace,
                 &spec,
-                &mut cs.serve,
-                &mut cs.arena,
+                cs,
             );
             BurstyCell {
                 process: label,
@@ -393,7 +399,7 @@ pub fn autoscale_results() -> Vec<AutoscaleCell> {
     let recipes = recipes(mk().supports_handover());
     super::verify::gate("Serve-autoscale", CHAIN_SERVICES, &recipes);
     let topo = Topology::dual_socket();
-    let period = calibrate_capacity_period(&topo, mk, &recipes);
+    let period = calibrate_capacity_period(&mut world(&topo, mk), &recipes, CHAIN_SERVICES);
     let mean = interarrival(period, 8);
     let n_recipes = u32::try_from(recipes.len()).expect("roster fits u32");
     let trace = poisson(mean)
@@ -419,11 +425,11 @@ pub fn autoscale_results() -> Vec<AutoscaleCell> {
         let report = run_cell(
             &mut mw,
             &policy,
+            CHAIN_SERVICES,
             &recipes,
             &trace,
             &spec,
-            &mut cs.serve,
-            &mut cs.arena,
+            cs,
         );
         AutoscaleCell {
             policy: label,

@@ -329,7 +329,7 @@ fn par_grid_pass(
                 think_cycles: 0,
             },
             1,
-            &mut cs.sweep,
+            &mut cs.serve,
             Attribution::Full(&mut cs.arena),
         )
         .expect("parallel sweep cell must be runnable");

@@ -91,7 +91,8 @@ fn sampled_totals_equal_full_attribution_roster_wide() {
                     &recipes,
                     &spec,
                     window,
-                );
+                )
+                .unwrap();
                 assert_eq!(full, plain, "{} b={batch} w={window}", full.system);
                 for every in EVERY {
                     let mut totals = PhaseTotals::new();

@@ -188,6 +188,14 @@ impl CycleLedger {
         self.spans.iter().map(|(_, c)| c).sum()
     }
 
+    /// Share of all cycles charged to `phase` (0 for an empty ledger).
+    pub fn fraction(&self, phase: Phase) -> f64 {
+        match self.total() {
+            0 => 0.0,
+            total => self.get(phase) as f64 / total as f64,
+        }
+    }
+
     /// The spans in first-charge order.
     pub fn spans(&self) -> &[(Phase, u64)] {
         &self.spans

@@ -32,13 +32,15 @@
 //!   [`program::Recipe`] builder produces bounded [`program::CallProgram`]s
 //!   that a world registers and dispatches as one `Step::Fused`,
 //!   executing server-side without returning to the client between hops;
-//! * [`load`] — a deterministic closed-loop traffic generator reporting
-//!   throughput and p50/p95/p99 latency from per-request ledgers;
-//! * [`serve`] — the open-loop sibling: seeded Poisson/bursty arrival
-//!   traces ([`serve::ArrivalTrace`]) replayed with per-tenant admission
-//!   control, SLO targets, and an autoscaling placement controller —
-//!   the layer that exposes the tail-vs-load saturation knee a closed
-//!   loop structurally cannot show;
+//! * [`serve`] — the serving engine, the one request loop: seeded
+//!   Poisson/bursty open-loop arrival traces ([`serve::ArrivalTrace`])
+//!   replayed with per-tenant admission control, SLO targets, and an
+//!   autoscaling placement controller — the layer that exposes the
+//!   tail-vs-load saturation knee a closed loop structurally cannot
+//!   show;
+//! * [`load`] — the deterministic closed-loop traffic generator, an
+//!   arrival source of the same engine, reporting throughput and
+//!   p50/p95/p99 latency from per-request ledgers;
 //! * [`par`] — a zero-dependency scoped-thread cell pool with
 //!   index-ordered reduction, so sweep grids fan out over N workers
 //!   while every rendered figure stays byte-identical to the serial

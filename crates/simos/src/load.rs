@@ -6,11 +6,13 @@
 //! N cores in virtual time:
 //!
 //! * **windowed clients** — a fixed population of clients, each keeping
-//!   up to `window` requests outstanding. `window = 1` is the classic
-//!   closed loop ([`run`]): a client issues its next request only after
-//!   the previous one completes (plus think time). Wider windows model
-//!   asynchronous submission: the client fires `window` requests
-//!   back-to-back and replaces each as it completes ([`run_windowed`]);
+//!   up to `window` requests outstanding ([`run_windowed`]). `window = 1`
+//!   is the classic closed loop: a client issues its next request only
+//!   after the previous one completes (plus think time). Wider windows
+//!   model asynchronous submission. The clients are an arrival source of
+//!   the serving engine in [`crate::serve`]; this module has no request
+//!   loop of its own, only the per-request driver ([`run_request`]) the
+//!   engine shares;
 //! * **FIFO cores in virtual time** — each core is a FIFO server
 //!   ([`MultiWorld::free_at`]); a step issued at `t` starts at
 //!   `max(t, core_free)`. In windowed runs the wait `core_free - t` is
@@ -32,8 +34,7 @@
 use crate::ipc::EngineCacheStats;
 use crate::ledger::{Attribution, CycleLedger, LedgerArena, LedgerRef, Phase, PhaseTotals};
 use crate::multicore::{CoreId, MultiWorld, Placement, PlacementError};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::serve::{run_engine, ServePolicy, ServeScratch, Source, TenantClass};
 use std::fmt;
 use ycsb::rng::Rng;
 
@@ -66,12 +67,10 @@ impl Default for LoadGen {
     }
 }
 
-/// A load run was asked to do something structurally impossible. Raised
-/// at [`run_windowed_with`] (and [`crate::serve::serve_with`]) *entry*,
-/// before any request is priced — previously these were `assert!`s (and
-/// the empty-roster case relied on `Rng::below`'s `debug_assert!`, so a
-/// release build would draw index 0 from an empty roster and panic on
-/// the slice access downstream instead of reporting the actual problem).
+/// A load run was asked to do something structurally impossible. Every
+/// variant but `Placement` is raised at [`run_windowed_with`] (or
+/// [`crate::serve::serve_with`]) entry, before any request is priced;
+/// `Placement` at the request whose core map was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadError {
     /// The recipe roster is empty: there is nothing to draw, and
@@ -182,29 +181,14 @@ pub struct LoadReport {
 impl LoadReport {
     /// Fraction of all IPC cycles that were cross-core surcharge.
     pub fn cross_core_fraction(&self) -> f64 {
-        self.phase_fraction(Phase::CrossCore)
+        self.ledger.fraction(Phase::CrossCore)
     }
 
     /// Fraction of all ledger cycles that were queue waiting (0 in
     /// closed-loop runs, which do not attribute waiting).
     pub fn queue_fraction(&self) -> f64 {
-        self.phase_fraction(Phase::Queue)
+        self.ledger.fraction(Phase::Queue)
     }
-
-    fn phase_fraction(&self, phase: Phase) -> f64 {
-        let total = self.ledger.total();
-        if total == 0 {
-            0.0
-        } else {
-            self.ledger.get(phase) as f64 / total as f64
-        }
-    }
-}
-
-/// Convert cycles (as f64, so means pass through) to microseconds at
-/// `clock_hz` — the one place the report does this conversion.
-fn cycles_to_us(cycles: f64, clock_hz: u64) -> f64 {
-    cycles / clock_hz as f64 * 1e6
 }
 
 /// Nearest-rank percentile over an ascending-sorted slice.
@@ -284,7 +268,7 @@ impl ReqSink<'_> {
 /// the request's index in the sampling sequence (`Sampled` keeps the
 /// span ledger of every `every`-th). In `Full` mode the request's spans
 /// are folded into `report` in first-charge order and the arena is
-/// rolled back for reuse. Shared by the closed- and open-loop drivers.
+/// rolled back for reuse. The serving engine's one attribution path.
 pub(crate) fn attribute(
     att: &mut Attribution<'_>,
     sample: u64,
@@ -320,16 +304,6 @@ pub(crate) fn attribute(
     }
 }
 
-/// The report ledger of a finished run: `Full` mode's folded span
-/// ledger as is, `Sampled` mode's exact flat totals rendered in
-/// canonical [`Phase::ALL`] order.
-pub(crate) fn report_ledger(att: &Attribution<'_>, full: CycleLedger) -> CycleLedger {
-    match att {
-        Attribution::Full(_) => full,
-        Attribution::Sampled { totals, .. } => totals.to_ledger(),
-    }
-}
-
 /// Execute one request's steps through [`MultiWorld::exec_into`] with
 /// `step_ledger` as scratch, landing the request's spans in `sink`.
 /// When `attribute_queue`, the wait each step spends behind its serving
@@ -358,14 +332,17 @@ pub(crate) fn run_request_sink(
     (t, ipc_calls)
 }
 
-/// Reject the first step, across `recipes`, that names a service id
-/// outside `0..n_services` — a step field, or a registered program's
-/// client or hop.
-pub(crate) fn check_services(
+/// Reject an empty roster, then the first step across `recipes` that
+/// names a service id outside `0..n_services` — a step field, or a
+/// registered program's client or hop.
+pub(crate) fn check_roster(
     mw: &MultiWorld,
     recipes: &[Vec<Step>],
     n_services: usize,
 ) -> Result<(), LoadError> {
+    if recipes.is_empty() {
+        return Err(LoadError::EmptyRecipes);
+    }
     for (recipe, steps) in recipes.iter().enumerate() {
         for (step, s) in steps.iter().enumerate() {
             let service = match *s {
@@ -394,77 +371,24 @@ pub(crate) fn check_services(
     Ok(())
 }
 
-/// Reusable buffers for a load run, meant to be threaded across the
-/// cells of a sweep (mechanism × policy × window × batch) so a grid of
-/// [`run_windowed_with`] calls performs its per-request work without
-/// heap allocation: the latency sample, the per-request core map, the
-/// per-step scratch ledger, and both event queues (issue heap and
-/// per-client outstanding heaps) all reach steady-state capacity in the
-/// first cell and are reused by every later one.
-#[derive(Default)]
-pub struct SweepScratch {
-    latencies: Vec<u64>,
-    map: Vec<CoreId>,
-    step_ledger: CycleLedger,
-    /// Min-heap of `(next issue time, client index)` — pops in exactly
-    /// the historical "lowest issue-time first, ties to lowest client
-    /// index" order, replacing the O(clients) linear scan.
-    issue: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Per-client min-heaps of outstanding completion (+ think) times,
-    /// replacing the O(window) linear min-scan.
-    outstanding: Vec<BinaryHeap<Reverse<u64>>>,
-}
-
-impl SweepScratch {
-    /// Fresh (empty) scratch; buffers grow to steady state on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Clear every buffer's *contents* while keeping their capacity —
-    /// called on entry by [`run_windowed_with`] so no state can leak
-    /// from one sweep cell into the next. The contamination risk this
-    /// forecloses: a large cell leaves `outstanding` with more per-client
-    /// heaps than a following smaller cell has clients, and
-    /// `resize_with` only ever *grows* the vec — so without an explicit
-    /// clear, a cell that exited abnormally (or any future driver that
-    /// forgets to drain `issue`) would replay stale issue times and
-    /// completion heaps into the next cell's schedule.
-    pub fn clear(&mut self) {
-        self.latencies.clear();
-        self.map.clear();
-        self.step_ledger.clear();
-        self.issue.clear();
-        for heap in &mut self.outstanding {
-            heap.clear();
-        }
-    }
-}
-
-/// Drive `spec.requests` requests from `spec.clients` closed-loop
-/// clients through `mw` under `policy`. Each request uses a recipe drawn
-/// from `recipes` by the seeded RNG; `n_services` is the recipe
-/// service-id space (service 0 is the client).
-///
-/// Exactly [`run_windowed`] with `window = 1` — same issue order, same
-/// RNG draws, same report, bit for bit.
-pub fn run(
-    mw: &mut MultiWorld,
-    policy: &Placement,
-    n_services: usize,
-    recipes: &[Vec<Step>],
-    spec: &LoadGen,
-) -> LoadReport {
-    run_windowed(mw, policy, n_services, recipes, spec, 1)
-}
+/// The serving engine's one scratch type under its closed-loop name,
+/// kept so code written against the closed-loop API compiles unchanged.
+pub type SweepScratch = ServeScratch;
 
 /// Drive `spec.requests` requests from `spec.clients` *windowed*
-/// clients: each client keeps up to `window` requests outstanding,
-/// issuing a replacement (after think time) as the oldest-completing
-/// one finishes. Issue order is "lowest issue-time first, ties to the
-/// lowest client index"; cores serve FIFO in virtual time, and (for
-/// `window > 1`) per-step queue waiting is charged to [`Phase::Queue`]
-/// in the report ledger.
+/// clients through `mw` under `policy`: each client keeps up to
+/// `window` requests outstanding, issuing a replacement (after think
+/// time) as the oldest-completing one finishes. Each request uses a
+/// recipe drawn from `recipes` by the seeded RNG; `n_services` is the
+/// recipe service-id space (service 0 is the client). Issue order is
+/// "lowest issue-time first, ties to the lowest client index"; cores
+/// serve FIFO in virtual time, and (for `window > 1`) per-step queue
+/// waiting is charged to [`Phase::Queue`] in the report ledger.
+/// `window = 1` is the classic closed loop.
+///
+/// # Errors
+///
+/// See [`run_windowed_with`].
 pub fn run_windowed(
     mw: &mut MultiWorld,
     policy: &Placement,
@@ -472,47 +396,40 @@ pub fn run_windowed(
     recipes: &[Vec<Step>],
     spec: &LoadGen,
     window: usize,
-) -> LoadReport {
-    let mut scratch = SweepScratch::new();
+) -> Result<LoadReport, LoadError> {
     let mut arena = LedgerArena::new();
-    match run_windowed_with(
+    run_windowed_with(
         mw,
         policy,
         n_services,
         recipes,
         spec,
         window,
-        &mut scratch,
+        &mut ServeScratch::new(),
         Attribution::Full(&mut arena),
-    ) {
-        Ok(r) => r,
-        Err(e) => panic!("run_windowed: {e}"),
-    }
+    )
 }
 
 /// [`run_windowed`] with caller-provided scratch buffers and an explicit
-/// [`Attribution`] sink — the zero-alloc hot path.
+/// [`Attribution`] sink — the zero-alloc hot path. `Full` reproduces
+/// [`run_windowed`] bit for bit. `Sampled` keeps every per-phase total
+/// exact and gives up only span order and zero-cycle spans: its report
+/// ledger is rendered in canonical [`Phase::ALL`] order. Latency,
+/// throughput and counters are identical across modes.
 ///
-/// * `Attribution::Full` stages every request's span ledger through the
-///   arena (truncating back after folding it into the report), and the
-///   report is **bit-identical** to [`run_windowed`]'s.
-/// * `Attribution::Sampled` accumulates every request into flat
-///   [`PhaseTotals`] (per-phase totals *exactly* equal to full mode's —
-///   flat sums commute with span merging) and additionally retains the
-///   span ledger of 1-in-`every` requests in the arena. The report's
-///   `ledger` is rendered from the totals in canonical [`Phase::ALL`]
-///   order, so span *order* (and zero-cycle span presence) is the only
-///   thing sampling gives up.
-///
-/// All latency, throughput, and counter fields are identical across
-/// modes; only the report ledger's span layout differs as described.
+/// The clients are an arrival source of the serving engine
+/// ([`crate::serve`]): one tenant per client whose admission queue holds
+/// `window` requests, a static placement by request index and no
+/// backlog bound. A client only issues once its window has room, so
+/// that queue never sheds and every request is served.
 ///
 /// # Errors
 ///
 /// [`LoadError`] when the recipe roster is empty, the client population
-/// is zero, the window is zero, or the placement policy rejects a
-/// service → core map — all checked at entry (or, for placement, at the
-/// offending request), before/without pricing anything.
+/// is zero, the window is zero, or a recipe names a service outside
+/// `0..n_services` — all checked before pricing anything — or when the
+/// placement policy rejects a service → core map at the offending
+/// request.
 #[allow(clippy::too_many_arguments)] // the sweep axes are the signature
 pub fn run_windowed_with(
     mw: &mut MultiWorld,
@@ -521,101 +438,55 @@ pub fn run_windowed_with(
     recipes: &[Vec<Step>],
     spec: &LoadGen,
     window: usize,
-    scratch: &mut SweepScratch,
-    mut att: Attribution<'_>,
+    scratch: &mut ServeScratch,
+    att: Attribution<'_>,
 ) -> Result<LoadReport, LoadError> {
-    if recipes.is_empty() {
-        return Err(LoadError::EmptyRecipes);
-    }
+    check_roster(mw, recipes, n_services)?;
     if spec.clients == 0 {
         return Err(LoadError::NoClients);
     }
     if window == 0 {
         return Err(LoadError::ZeroWindow);
     }
-    check_services(mw, recipes, n_services)?;
-    let attribute_queue = window > 1;
-    let mut rng = Rng::seed_from_u64(spec.seed);
-    // Cross-cell hygiene: drop every buffer's contents (capacity kept)
-    // before touching any of them, so a previous cell's issue times or
-    // outstanding heaps can never contaminate this one.
-    scratch.clear();
-    // Per client: the earliest time it may issue its next request (the
-    // issue heap), and the completion (+ think) times of its outstanding
-    // requests (one min-heap per client).
-    for c in 0..spec.clients {
-        scratch.issue.push(Reverse((0, c)));
-    }
-    if scratch.outstanding.len() < spec.clients {
-        scratch
-            .outstanding
-            .resize_with(spec.clients, BinaryHeap::new);
-    }
-    scratch
-        .latencies
-        .reserve(usize::try_from(spec.requests).expect("request count fits usize"));
-    let mut ledger = CycleLedger::new();
-    let mut makespan = 0u64;
-    let mut ipc_calls = 0u64;
-    for r in 0..spec.requests {
-        // Next issuer: earliest-issuable client, ties to the lowest
-        // index — exactly the historical linear scan's order, since the
-        // heap pops the least `(issue time, client index)` pair.
-        let Reverse((t0, c)) = scratch.issue.pop().expect("one entry per client");
-        let pick = usize::try_from(rng.below(recipes.len() as u64)).expect("index fits usize");
-        let recipe = &recipes[pick];
-        policy.assign_into(r, n_services, mw, &mut scratch.map)?;
-        let (done, calls) = attribute(&mut att, r, &mut ledger, |sink| {
-            run_request_sink(
-                mw,
-                &scratch.map,
-                recipe,
-                t0,
-                attribute_queue,
-                &mut scratch.step_ledger,
-                sink,
-            )
-        });
-        ipc_calls += calls;
-        scratch.latencies.push(done - t0);
-        makespan = makespan.max(done);
-        scratch.outstanding[c].push(Reverse(done + spec.think_cycles));
-        let next_avail = if scratch.outstanding[c].len() >= window {
-            // Window full: the next issue replaces the outstanding
-            // request that completes earliest.
-            let Reverse(first_done) = scratch.outstanding[c].pop().expect("window >= 1");
-            t0.max(first_done)
-        } else {
-            t0
-        };
-        scratch.issue.push(Reverse((next_avail, c)));
-    }
-    let ledger = report_ledger(&att, ledger);
-    scratch.latencies.sort_unstable();
-    let latencies = &scratch.latencies;
-    let clock_hz = mw.core(0).cost.clock_hz;
-    let mean = latencies.iter().sum::<u64>() as f64 / latencies.len().max(1) as f64;
+    let clients = Source::Clients {
+        gen: spec,
+        window,
+        n_recipes: recipes.len() as u64,
+        rng: Rng::seed_from_u64(spec.seed),
+    };
+    let class = TenantClass {
+        queue_cap: window,
+        slo_p99_us: f64::INFINITY,
+    };
+    let r = run_engine(
+        mw,
+        &ServePolicy::Static(policy.clone()),
+        n_services,
+        recipes,
+        std::slice::from_ref(&class),
+        0,
+        clients,
+        scratch,
+        att,
+    )?;
+    debug_assert_eq!(r.shed(), 0, "a client never overflows its window");
     Ok(LoadReport {
-        system: mw.core(0).ipc_name(),
+        system: r.system,
         policy: policy.label(),
-        cores: mw.n_cores(),
+        cores: r.cores,
         clients: spec.clients,
         window,
-        requests: spec.requests,
-        ipc_calls,
-        makespan_cycles: makespan,
-        busy_cycles: mw.busy_cycles(),
-        throughput_rps: if makespan == 0 {
-            0.0
-        } else {
-            spec.requests as f64 * clock_hz as f64 / makespan as f64
-        },
-        mean_us: cycles_to_us(mean, clock_hz),
-        p50_us: cycles_to_us(percentile(latencies, 0.50) as f64, clock_hz),
-        p95_us: cycles_to_us(percentile(latencies, 0.95) as f64, clock_hz),
-        p99_us: cycles_to_us(percentile(latencies, 0.99) as f64, clock_hz),
-        ledger,
-        engine_cache: mw.engine_cache_stats(),
+        requests: r.admitted,
+        ipc_calls: r.ipc_calls,
+        makespan_cycles: r.makespan_cycles,
+        busy_cycles: r.busy_cycles,
+        throughput_rps: r.goodput_rps,
+        mean_us: r.mean_us,
+        p50_us: r.p50_us,
+        p95_us: r.p95_us,
+        p99_us: r.p99_us,
+        ledger: r.ledger,
+        engine_cache: r.engine_cache,
     })
 }
 
@@ -684,7 +555,7 @@ mod tests {
     fn same_seed_is_bit_identical() {
         let run_once = || {
             let mut mw = mw(4);
-            run(&mut mw, &Placement::RoundRobin, 3, &[recipe()], &spec())
+            run_windowed(&mut mw, &Placement::RoundRobin, 3, &[recipe()], &spec(), 1).unwrap()
         };
         assert_eq!(run_once(), run_once());
     }
@@ -692,7 +563,7 @@ mod tests {
     #[test]
     fn different_seeds_may_differ_but_stay_consistent() {
         let mut mw = mw(2);
-        let r = run(&mut mw, &Placement::SameCore, 3, &[recipe()], &spec());
+        let r = run_windowed(&mut mw, &Placement::SameCore, 3, &[recipe()], &spec(), 1).unwrap();
         assert_eq!(r.requests, 100);
         assert!(r.makespan_cycles > 0);
         assert!(r.p50_us <= r.p95_us && r.p95_us <= r.p99_us);
@@ -716,15 +587,18 @@ mod tests {
             r
         };
         let mut one = mw(1);
-        let base = run(
+        let base = run_windowed(
             &mut one,
             &Placement::SameCore,
             3,
             std::slice::from_ref(&heavy),
             &spec(),
-        );
+            1,
+        )
+        .unwrap();
         let mut four = mw(4);
-        let scaled = run(&mut four, &Placement::RoundRobin, 3, &[heavy], &spec());
+        let scaled =
+            run_windowed(&mut four, &Placement::RoundRobin, 3, &[heavy], &spec(), 1).unwrap();
         assert!(
             scaled.throughput_rps > base.throughput_rps,
             "round-robin over 4 cores ({:.0} rps) should beat 1 core ({:.0} rps)",
@@ -737,9 +611,18 @@ mod tests {
 
         // Tiny requests: the surcharge dominates and scale-out loses.
         let mut one = mw(1);
-        let base = run(&mut one, &Placement::SameCore, 3, &[recipe()], &spec());
+        let base =
+            run_windowed(&mut one, &Placement::SameCore, 3, &[recipe()], &spec(), 1).unwrap();
         let mut four = mw(4);
-        let scaled = run(&mut four, &Placement::RoundRobin, 3, &[recipe()], &spec());
+        let scaled = run_windowed(
+            &mut four,
+            &Placement::RoundRobin,
+            3,
+            &[recipe()],
+            &spec(),
+            1,
+        )
+        .unwrap();
         assert!(scaled.throughput_rps < base.throughput_rps);
     }
 
@@ -1049,7 +932,7 @@ mod tests {
         let mut mw = MultiWorld::builder()
             .topology(Topology::u500())
             .build(|| Box::new(Fixed));
-        let r = run_windowed(&mut mw, &Placement::RoundRobin, 3, &[recipe()], &spec, 1);
+        let r = run_windowed(&mut mw, &Placement::RoundRobin, 3, &[recipe()], &spec, 1).unwrap();
         assert_eq!(r.ledger, ledger, "same merged ledger, span for span");
         assert_eq!(r.makespan_cycles, makespan);
         assert_eq!(r.busy_cycles, oracle_mw.busy_cycles());
@@ -1058,12 +941,12 @@ mod tests {
         // No queue attribution in the closed loop — not even zero spans.
         assert_eq!(r.ledger.get(Phase::Queue), 0);
         assert!(!r.ledger.spans().iter().any(|(p, _)| *p == Phase::Queue));
-        // And `run` is the same thing by construction.
+        // And a second run on a fresh world is the same thing.
         let mut mw2 = MultiWorld::builder()
             .topology(Topology::u500())
             .build(|| Box::new(Fixed));
         assert_eq!(
-            run(&mut mw2, &Placement::RoundRobin, 3, &[recipe()], &spec),
+            run_windowed(&mut mw2, &Placement::RoundRobin, 3, &[recipe()], &spec, 1).unwrap(),
             r
         );
     }
@@ -1073,6 +956,8 @@ mod tests {
     /// an O(window) linear min-scan picks the completion a full window
     /// replaces. Pins the `BinaryHeap` event queues to the historical
     /// order ("lowest time first, ties to the lowest client index").
+    /// Also returns the issue sequence `(t0, client, recipe)`.
+    #[allow(clippy::type_complexity)] // latencies, ledger, makespan, issues
     fn windowed_linear_oracle(
         mw: &mut MultiWorld,
         policy: &Placement,
@@ -1080,11 +965,12 @@ mod tests {
         recipes: &[Vec<Step>],
         spec: &LoadGen,
         window: usize,
-    ) -> (Vec<u64>, CycleLedger, u64) {
+    ) -> (Vec<u64>, CycleLedger, u64, Vec<(u64, usize, usize)>) {
         let attribute_queue = window > 1;
         let mut rng = ycsb::rng::Rng::seed_from_u64(spec.seed);
         let mut avail = vec![0u64; spec.clients];
         let mut outstanding: Vec<Vec<u64>> = vec![Vec::new(); spec.clients];
+        let mut issued = Vec::new();
         let mut latencies = Vec::new();
         let mut ledger = CycleLedger::new();
         let mut makespan = 0u64;
@@ -1097,6 +983,7 @@ mod tests {
             }
             let t0 = avail[c];
             let pick = usize::try_from(rng.below(recipes.len() as u64)).expect("index fits usize");
+            issued.push((t0, c, pick));
             let recipe = &recipes[pick];
             let map = policy
                 .assign(r, n_services, mw)
@@ -1130,7 +1017,7 @@ mod tests {
             };
         }
         latencies.sort_unstable();
-        (latencies, ledger, makespan)
+        (latencies, ledger, makespan, issued)
     }
 
     #[test]
@@ -1144,7 +1031,7 @@ mod tests {
         };
         for window in [1usize, 4, 16] {
             let mut oracle_mw = mw(4);
-            let (lat, ledger, makespan) = windowed_linear_oracle(
+            let (lat, ledger, makespan, _) = windowed_linear_oracle(
                 &mut oracle_mw,
                 &Placement::RoundRobin,
                 3,
@@ -1160,7 +1047,8 @@ mod tests {
                 &[recipe()],
                 &spec,
                 window,
-            );
+            )
+            .unwrap();
             assert_eq!(r.ledger, ledger, "w={window}: same spans");
             assert_eq!(r.makespan_cycles, makespan, "w={window}");
             let hz = heap_mw.core(0).cost.clock_hz;
@@ -1172,10 +1060,94 @@ mod tests {
     }
 
     #[test]
+    fn closed_loop_equals_a_queue_capped_open_loop() {
+        // The closed loop's own issue sequence, replayed open-loop with
+        // one tenant per client, queue cap = window and the same static
+        // placement, sheds nothing and reproduces the closed-loop report.
+        // The one difference: at window 1 the closed loop leaves out the
+        // `Queue` spans the open loop always attributes.
+        use crate::serve::{serve, Arrival, ArrivalTrace, ServeSpec};
+        let short = vec![
+            Step::Oneway {
+                from: 0,
+                to: 2,
+                bytes: 32,
+            },
+            Step::Compute { at: 2, cycles: 80 },
+        ];
+        let recipes = [recipe(), short];
+        for policy in [
+            Placement::RoundRobin,
+            Placement::SameCore,
+            Placement::LeastLoaded,
+        ] {
+            for think_cycles in [0, 250, 5_000] {
+                for window in [1usize, 2, 4, 8] {
+                    let at = format!("{} think={think_cycles} w={window}", policy.label());
+                    let spec = LoadGen {
+                        think_cycles,
+                        ..spec()
+                    };
+                    let (.., issued) =
+                        windowed_linear_oracle(&mut mw(4), &policy, 3, &recipes, &spec, window);
+                    let arrivals = issued
+                        .iter()
+                        .map(|&(at, client, recipe)| Arrival {
+                            at,
+                            tenant: u32::try_from(client).unwrap(),
+                            recipe: u32::try_from(recipe).unwrap(),
+                        })
+                        .collect();
+                    let trace = ArrivalTrace::from_arrivals(arrivals).unwrap();
+                    let serve_spec = ServeSpec {
+                        tenants: u32::try_from(spec.clients).unwrap(),
+                        classes: vec![TenantClass {
+                            queue_cap: window,
+                            slo_p99_us: f64::INFINITY,
+                        }],
+                        backlog_cap_cycles: 0,
+                    };
+                    let open = serve(
+                        &mut mw(4),
+                        &ServePolicy::Static(policy.clone()),
+                        3,
+                        &recipes,
+                        &trace,
+                        &serve_spec,
+                    )
+                    .unwrap();
+                    let closed =
+                        run_windowed(&mut mw(4), &policy, 3, &recipes, &spec, window).unwrap();
+                    assert_eq!(open.shed(), 0, "{at}");
+                    assert_eq!(open.admitted, closed.requests, "{at}");
+                    assert_eq!(open.makespan_cycles, closed.makespan_cycles, "{at}");
+                    assert_eq!(open.busy_cycles, closed.busy_cycles, "{at}");
+                    assert_eq!(open.ipc_calls, closed.ipc_calls, "{at}");
+                    assert_eq!(
+                        [open.mean_us, open.p50_us, open.p95_us, open.p99_us],
+                        [closed.mean_us, closed.p50_us, closed.p95_us, closed.p99_us],
+                        "{at}"
+                    );
+                    if window == 1 {
+                        let unqueued = open
+                            .ledger
+                            .spans()
+                            .iter()
+                            .filter(|(p, _)| *p != Phase::Queue);
+                        assert!(unqueued.eq(closed.ledger.spans()), "{at}");
+                    } else {
+                        assert_eq!(open.ledger, closed.ledger, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn windowed_same_seed_is_bit_identical() {
         let run_once = || {
             let mut mw = mw(4);
-            run_windowed(&mut mw, &Placement::RoundRobin, 3, &[recipe()], &spec(), 16)
+            run_windowed(&mut mw, &Placement::RoundRobin, 3, &[recipe()], &spec(), 16).unwrap()
         };
         assert_eq!(run_once(), run_once());
     }
@@ -1191,7 +1163,7 @@ mod tests {
             response: 4096,
         }];
         let mut mw = mw(1);
-        let r = run_windowed(&mut mw, &Placement::SameCore, 2, &[heavy], &spec(), 4);
+        let r = run_windowed(&mut mw, &Placement::SameCore, 2, &[heavy], &spec(), 4).unwrap();
         assert!(r.ledger.get(Phase::Queue) > 0, "contention must queue");
         assert!(r.queue_fraction() > 0.0);
         assert_eq!(r.window, 4);
@@ -1220,6 +1192,7 @@ mod tests {
                 &spec,
                 window,
             )
+            .unwrap()
             .throughput_rps
         };
         let (w1, w4, w16) = (rps(1), rps(4), rps(16));
@@ -1248,7 +1221,7 @@ mod tests {
             seed: 3,
             think_cycles: 0,
         };
-        let r = run(&mut mw, &Placement::RoundRobin, 2, &[burst], &spec);
+        let r = run_windowed(&mut mw, &Placement::RoundRobin, 2, &[burst], &spec, 1).unwrap();
         assert_eq!(r.ipc_calls, 80);
         assert_eq!(r.requests, 10);
         // `Fixed` amortizes nothing, so the batch costs 8 full calls.
@@ -1273,7 +1246,7 @@ mod tests {
             seed: 3,
             think_cycles: 0,
         };
-        let r = run(&mut mw, &Placement::RoundRobin, 3, &fused, &spec);
+        let r = run_windowed(&mut mw, &Placement::RoundRobin, 3, &fused, &spec, 1).unwrap();
         assert_eq!(r.requests, 10);
         assert_eq!(r.ipc_calls, 20, "two hops per fused request");
         assert!(r.ledger.total() > 0);
@@ -1290,7 +1263,7 @@ mod tests {
             .unwrap();
         let id = mw.register_program(program);
         let fused = vec![vec![Step::Fused(id)]];
-        let r = run_windowed(&mut mw, &Placement::SameCore, 2, &fused, &spec(), 4);
+        let r = run_windowed(&mut mw, &Placement::SameCore, 2, &fused, &spec(), 4).unwrap();
         assert!(r.ledger.get(Phase::Queue) > 0, "contention must queue");
         // The sampled sink path reports identical totals.
         let mut mw2 = mw2_with_program();
@@ -1331,7 +1304,7 @@ mod tests {
     #[test]
     fn busy_cycles_bounded_by_cores_times_makespan() {
         let mut mw = mw(4);
-        let r = run(&mut mw, &Placement::LeastLoaded, 3, &[recipe()], &spec());
+        let r = run_windowed(&mut mw, &Placement::LeastLoaded, 3, &[recipe()], &spec(), 1).unwrap();
         assert!(r.busy_cycles <= r.cores as u64 * r.makespan_cycles);
     }
 }

@@ -16,10 +16,11 @@
 //! * **Index-ordered reduction** — results land in a slot vector by cell
 //!   index and are drained `0..n`, so completion order is invisible.
 //! * **Per-worker arenas** — each worker owns one [`CellScratch`]
-//!   (sweep + serve scratch + ledger arena) reused across the cells it
-//!   happens to draw. Scratch reuse is a pure allocation optimisation:
-//!   both `run_windowed_with` and `serve_with` clear scratch on entry,
-//!   and the cross-cell hygiene is pinned by tests in `load`/`serve`.
+//!   (engine scratch + ledger arena) reused across the cells it happens
+//!   to draw. Scratch reuse is a pure allocation optimisation: the
+//!   serving engine behind `run_windowed_with` and `serve_with` clears
+//!   scratch on entry, and the cross-cell hygiene is pinned by tests in
+//!   `load`/`serve`.
 //!   Steady state allocates nothing per cell beyond what the serial
 //!   path already did.
 //! * **Seed splitting** — cells that need their own random stream derive
@@ -51,28 +52,18 @@ use std::sync::{Mutex, OnceLock};
 use std::thread;
 
 use crate::ledger::LedgerArena;
-use crate::load::SweepScratch;
 use crate::serve::ServeScratch;
 
 /// The reusable buffers one pool worker carries across the cells it
-/// executes: closed-loop sweep scratch, open-loop serve scratch, and a
-/// ledger arena. A cell uses whichever parts it needs; the unused parts
-/// stay empty and cost nothing.
+/// executes: the serving engine's scratch and a ledger arena. A cell
+/// that prices nothing leaves both empty, and they cost nothing.
 #[derive(Default)]
 pub struct CellScratch {
-    /// Closed-loop scratch for [`crate::load::run_windowed_with`].
-    pub sweep: SweepScratch,
-    /// Open-loop scratch for [`crate::serve::serve_with`].
+    /// Engine scratch for [`crate::serve::serve_with`] and
+    /// [`crate::load::run_windowed_with`] alike.
     pub serve: ServeScratch,
-    /// Ledger arena threaded through either driver's `Attribution`.
+    /// Ledger arena threaded through the engine's `Attribution`.
     pub arena: LedgerArena,
-}
-
-impl CellScratch {
-    /// Fresh (empty) scratch; buffers grow to steady state on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 thread_local! {
@@ -165,7 +156,7 @@ where
     let n = cells.len();
     let workers = workers.max(1).min(n.max(1));
     if workers <= 1 {
-        let mut scratch = CellScratch::new();
+        let mut scratch = CellScratch::default();
         return cells
             .into_iter()
             .enumerate()
@@ -177,7 +168,7 @@ where
     thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| {
-                let mut scratch = CellScratch::new();
+                let mut scratch = CellScratch::default();
                 loop {
                     // Take the lock only to draw the next cell; the
                     // cell itself runs with the queue unlocked.
@@ -270,7 +261,6 @@ mod tests {
         // the plumbing — the byte-identity proof lives in the bench
         // crate's differential tests).
         let got = map_cells_on(2, (0..6u64).collect::<Vec<_>>(), |i, c, scratch| {
-            scratch.sweep.clear();
             scratch.serve.clear();
             scratch.arena.reset();
             (i as u64) + c

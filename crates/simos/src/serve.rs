@@ -1,27 +1,28 @@
-//! Open-loop, trace-driven serving over a [`MultiWorld`]: arrival
-//! processes, admission control, per-tenant SLOs, and autoscaling.
+//! The serving engine over a [`MultiWorld`] — the crate's one request
+//! loop — with open-loop arrivals, admission control, per-tenant SLOs,
+//! and autoscaling.
 //!
-//! The windowed generators in [`crate::load`] are *closed* loops: a
-//! fixed client roster issues a new request only as an old one completes
-//! (plus think time), so the offered load self-throttles exactly when
-//! the system saturates — the regime where tail latency explodes is the
-//! regime a closed loop refuses to enter. The p99 figures it produces
-//! can therefore never show the saturation knee. This module drives the
-//! same `MultiWorld`/recipe machinery from an **open** loop:
+//! The engine draws arrivals from one of two sources, admits or sheds
+//! each, prices admitted recipes through an [`Attribution`] sink (cores
+//! serving FIFO in virtual time), and reports each admission's
+//! completion time back to the source:
 //!
-//! * **arrival processes** — requests arrive at trace-determined virtual
-//!   times regardless of completions, modeling millions of logical users
-//!   none of whom waits for another. [`OpenLoopGen`] draws either
-//!   memoryless Poisson arrivals or a bursty two-state on-off modulated
-//!   Poisson process (an MMPP-2: bursts at an accelerated rate separated
-//!   by idle gaps, long-run rate preserved), both seeded and
-//!   deterministic;
-//! * **compact traces** — the generator records into an
-//!   [`ArrivalTrace`]: arrival cycles (sorted) × tenant × recipe id,
-//!   12 bytes of meaning per arrival and nothing else. Traces are
+//! * **a recorded [`ArrivalTrace`]** ([`serve_with`]) — the *open* loop.
+//!   Arrival times ignore completions, so offered load can cross
+//!   capacity and show the p99 knee a closed loop never enters.
+//!   [`OpenLoopGen`] records seeded Poisson or bursty on-off (MMPP-2,
+//!   long-run rate preserved) traces: arrival cycle × tenant × recipe,
 //!   replayable (same trace ⇒ same [`ServeReport`], byte for byte) and
-//!   diffable ([`ArrivalTrace::diff`]); hand-built traces enter through
-//!   the same validated constructor;
+//!   diffable ([`ArrivalTrace::diff`]). Every arrival is checked before
+//!   anything is priced;
+//! * **a client population** ([`crate::load::run_windowed_with`]) — the
+//!   *closed* loop: each client keeps up to `window` requests
+//!   outstanding and issues the next only after one completes (plus
+//!   think time). It runs as one tenant per client with
+//!   `queue_cap = window`, which never sheds.
+//!
+//! Around the loop:
+//!
 //! * **admission control** — each tenant owns a bounded queue
 //!   ([`TenantClass::queue_cap`] admitted-but-incomplete requests); an
 //!   arrival that would overflow it is **shed**, not served and not
@@ -33,25 +34,14 @@
 //!   feedback controller: every epoch it observes the mean backlog over
 //!   the active cores and grows or shrinks the active set within
 //!   `[min_cores, max_cores]`, dispatching each chain to the
-//!   least-loaded active core. Controller activity is reported
-//!   ([`AutoscaleReport`]);
-//! * **zero per-request allocation** — arrivals replay through the same
-//!   [`Attribution`] sinks and scratch buffers as the closed-loop hot
-//!   path ([`crate::load::run_windowed_with`]), so 10⁶–10⁷ simulated
-//!   requests run at arena speed.
-//!
-//! The per-request service pricing, queue discipline (FIFO cores in
-//! virtual time), and phase attribution are byte-identical to the
-//! closed-loop path — only the *issue rule* changes. At offered load far
-//! below capacity the two agree on median latency (pinned by tests); as
-//! offered load crosses capacity they diverge, and that divergence *is*
-//! the knee curve the `serve` experiment plots.
+//!   least-loaded active core ([`AutoscaleReport`]);
+//! * **zero per-request allocation** — one [`ServeScratch`] holds every
+//!   growable buffer of either source, so 10⁶–10⁷ simulated requests run
+//!   at arena speed.
 
 use crate::ipc::EngineCacheStats;
 use crate::ledger::{Attribution, CycleLedger, LedgerArena, Phase};
-use crate::load::{
-    attribute, check_services, percentile, report_ledger, run_request_sink, LoadError,
-};
+use crate::load::{attribute, check_roster, percentile, run_request_sink, LoadError, LoadGen};
 use crate::multicore::{CoreId, MultiWorld, Placement, Step};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -115,18 +105,6 @@ pub struct OpenLoopGen {
 }
 
 impl OpenLoopGen {
-    /// A Poisson generator at `mean_interarrival_cycles`, single tenant,
-    /// one million logical users.
-    pub fn poisson(mean_interarrival_cycles: u64, seed: u64) -> Self {
-        OpenLoopGen {
-            process: ArrivalProcess::Poisson,
-            mean_interarrival_cycles,
-            tenants: 1,
-            users: 1_000_000,
-            seed,
-        }
-    }
-
     /// Draw one exponential interarrival with mean `mean` cycles.
     fn exp_cycles(rng: &mut Rng, mean: f64) -> u64 {
         let u = rng.next_f64();
@@ -146,8 +124,8 @@ impl OpenLoopGen {
     ///
     /// [`ServeError`] when the spec is degenerate: zero recipes, zero
     /// tenants, zero users, a zero mean interarrival, or an on-off
-    /// process whose burst acceleration is not strictly faster than the
-    /// long-run rate.
+    /// process whose mean burst is zero or above `u64::MAX / 2`, or whose
+    /// burst acceleration is not strictly faster than the long-run rate.
     pub fn trace(&self, n: u64, n_recipes: u32) -> Result<ArrivalTrace, ServeError> {
         if n_recipes == 0 {
             return Err(ServeError::Load(LoadError::EmptyRecipes));
@@ -168,7 +146,9 @@ impl OpenLoopGen {
                 burst_len,
                 accel_x10,
             } => {
-                if burst_len == 0 || accel_x10 <= 10 {
+                // `2 * burst_len - 1` sizes a burst, so a longer mean
+                // burst would overflow the draw.
+                if burst_len == 0 || burst_len > u64::MAX / 2 || accel_x10 <= 10 {
                     return Err(ServeError::BadBurstSpec {
                         burst_len,
                         accel_x10,
@@ -194,7 +174,8 @@ impl OpenLoopGen {
                         // long-run mean rate over the whole cycle.
                         left_in_burst = 1 + rng.below(2 * burst_len - 1);
                         let gap_mean = burst_len as f64 * (mean - mean_on);
-                        Self::exp_cycles(&mut rng, gap_mean) + Self::exp_cycles(&mut rng, mean_on)
+                        Self::exp_cycles(&mut rng, gap_mean)
+                            .saturating_add(Self::exp_cycles(&mut rng, mean_on))
                     } else {
                         Self::exp_cycles(&mut rng, mean_on)
                     }
@@ -521,12 +502,7 @@ impl ServeReport {
 
     /// Fraction of all ledger cycles that were queue waiting.
     pub fn queue_fraction(&self) -> f64 {
-        let total = self.ledger.total();
-        if total == 0 {
-            0.0
-        } else {
-            self.ledger.get(Phase::Queue) as f64 / total as f64
-        }
+        self.ledger.fraction(Phase::Queue)
     }
 }
 
@@ -567,7 +543,8 @@ pub enum ServeError {
     NoUsers,
     /// The generator's mean interarrival is zero.
     ZeroMeanInterarrival,
-    /// An on-off process with no burst or no acceleration.
+    /// An on-off process with no burst, a burst too long to draw
+    /// (`burst_len > u64::MAX / 2`), or no acceleration.
     BadBurstSpec {
         /// Configured mean burst length.
         burst_len: u64,
@@ -619,7 +596,7 @@ impl fmt::Display for ServeError {
                 accel_x10,
             } => write!(
                 f,
-                "on-off process needs burst_len >= 1 and accel_x10 > 10 \
+                "on-off process needs 1 <= burst_len <= u64::MAX / 2 and accel_x10 > 10 \
                  (got burst_len {burst_len}, accel_x10 {accel_x10})"
             ),
             ServeError::NoTenantClasses => write!(f, "spec lists no tenant classes"),
@@ -646,19 +623,37 @@ impl From<LoadError> for ServeError {
     }
 }
 
-/// Reusable buffers for serve runs, the open-loop sibling of
-/// [`crate::load::SweepScratch`]: thread one across the cells of a
-/// sweep and every cell after the first serves without heap allocation
-/// on the per-arrival path.
+/// One tenant's shed arrivals over an engine run, by cause. Its
+/// admissions are its latency samples, and every other arrival is one
+/// of these, so `offered = admitted + shed` holds by construction.
+#[derive(Debug, Clone, Copy, Default)]
+struct Shed {
+    queue_full: u64,
+    backlog: u64,
+}
+
+/// Reusable buffers for the serving engine, whichever source feeds it:
+/// thread one across the cells of a sweep and every cell after the
+/// first serves without heap allocation on the per-arrival path.
 #[derive(Default)]
 pub struct ServeScratch {
+    /// `(tenant, latency)` of every admission, in one flat buffer: a
+    /// large client population costs no per-tenant scatter per request.
+    samples: Vec<(usize, u64)>,
+    /// The admissions' latencies, sorted once the run ends.
     latencies: Vec<u64>,
+    /// Per-tenant latencies, bucketed from `samples` by [`serve_with`].
     tenant_latencies: Vec<Vec<u64>>,
+    shed: Vec<Shed>,
     map: Vec<CoreId>,
     step_ledger: CycleLedger,
-    /// Per-tenant min-heaps of outstanding completion times — the
+    /// Per-tenant min-heaps of outstanding completion times: the
     /// bounded admission queues.
     outstanding: Vec<BinaryHeap<Reverse<u64>>>,
+    /// Closed loop: min-heap of `(next issue time, client index)`.
+    issue: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Closed loop: per-client min-heaps of completion (+ think) times.
+    pending: Vec<BinaryHeap<Reverse<u64>>>,
 }
 
 impl ServeScratch {
@@ -667,20 +662,301 @@ impl ServeScratch {
         Self::default()
     }
 
-    /// Clear every buffer's contents (capacity kept) — called on entry
-    /// by [`serve_with`], the same cross-cell hygiene as
-    /// [`crate::load::SweepScratch::clear`].
+    /// Clear every buffer's *contents*, capacity kept. The engine calls
+    /// this on entry, so nothing a larger earlier cell left behind (the
+    /// per-tenant and per-client vectors only grow) reaches the next.
     pub fn clear(&mut self) {
+        self.samples.clear();
         self.latencies.clear();
+        self.shed.clear();
+        self.map.clear();
+        self.step_ledger.clear();
+        self.issue.clear();
         for v in &mut self.tenant_latencies {
             v.clear();
         }
-        self.map.clear();
-        self.step_ledger.clear();
-        for heap in &mut self.outstanding {
+        for heap in self.outstanding.iter_mut().chain(&mut self.pending) {
             heap.clear();
         }
     }
+}
+
+/// Grow `v` to at least `n` entries, never shrinking it.
+fn grow<T: Default>(v: &mut Vec<T>, n: usize) {
+    if v.len() < n {
+        v.resize_with(n, T::default);
+    }
+}
+
+/// Where the serving engine's arrivals come from.
+pub(crate) enum Source<'a> {
+    /// The open loop: a validated trace over `tenants` tenants, replayed
+    /// in order.
+    Trace {
+        arrivals: std::slice::Iter<'a, Arrival>,
+        tenants: usize,
+    },
+    /// The closed loop: `gen.clients` clients (one tenant each), each
+    /// keeping up to `window` requests outstanding and issuing a
+    /// replacement, after think time, as the earliest-completing one
+    /// finishes. Every issue draws its recipe from the seeded `rng`.
+    Clients {
+        gen: &'a LoadGen,
+        window: usize,
+        n_recipes: u64,
+        rng: Rng,
+    },
+}
+
+impl Source<'_> {
+    /// Seed the source's state in freshly cleared scratch, reserve room
+    /// for every arrival's latency, and return the number of tenants its
+    /// arrivals name.
+    fn start(&self, s: &mut ServeScratch) -> usize {
+        match self {
+            Source::Trace { arrivals, tenants } => {
+                s.samples.reserve(arrivals.len());
+                *tenants
+            }
+            Source::Clients { gen, .. } => {
+                // Best effort: a request count too large to reserve for
+                // grows the buffer as the run goes instead of panicking.
+                let _ = s
+                    .samples
+                    .try_reserve(usize::try_from(gen.requests).unwrap_or(usize::MAX));
+                s.issue.extend((0..gen.clients).map(|c| Reverse((0, c))));
+                grow(&mut s.pending, gen.clients);
+                gen.clients
+            }
+        }
+    }
+
+    /// Arrival number `i` as `(at, tenant, recipe)`, `at` non-decreasing,
+    /// or `None` once the source is exhausted.
+    fn next(&mut self, i: u64, s: &mut ServeScratch) -> Option<(u64, usize, usize)> {
+        match self {
+            Source::Trace { arrivals, .. } => {
+                let a = arrivals.next()?;
+                Some((a.at, a.tenant as usize, a.recipe as usize))
+            }
+            Source::Clients {
+                gen,
+                n_recipes,
+                rng,
+                ..
+            } => {
+                if i >= gen.requests {
+                    return None;
+                }
+                // The least `(issue time, client index)` pair: the
+                // earliest-issuable client, ties to the lowest index.
+                let Reverse((t0, c)) = s.issue.pop()?;
+                let pick = usize::try_from(rng.below(*n_recipes)).expect("index fits usize");
+                Some((t0, c, pick))
+            }
+        }
+    }
+
+    /// The arrival `(at, tenant)` just drawn was admitted and completes
+    /// at `done` (shed arrivals are not reported).
+    fn admitted(&self, at: u64, tenant: usize, done: u64, s: &mut ServeScratch) {
+        if let Source::Clients { gen, window, .. } = self {
+            let pending = &mut s.pending[tenant];
+            pending.push(Reverse(done + gen.think_cycles));
+            // Window full: the next issue replaces the outstanding
+            // request that completes earliest.
+            let next = if pending.len() >= *window {
+                pending.pop().map_or(at, |Reverse(first)| at.max(first))
+            } else {
+                at
+            };
+            s.issue.push(Reverse((next, tenant)));
+        }
+    }
+}
+
+/// The autoscale feedback controller: the active set is the core
+/// prefix `[0, state.final_active)`.
+struct Controller<'a> {
+    cfg: &'a AutoscaleCfg,
+    state: AutoscaleReport,
+}
+
+impl<'a> Controller<'a> {
+    /// The controller of an autoscale `policy`, starting at `min_cores`
+    /// ([`None`] for a static policy).
+    fn of(policy: &'a ServePolicy) -> Option<Self> {
+        let ServePolicy::Autoscale(cfg) = policy else {
+            return None;
+        };
+        Some(Controller {
+            cfg,
+            state: AutoscaleReport {
+                grow_events: 0,
+                shrink_events: 0,
+                min_active: cfg.min_cores,
+                max_active: cfg.min_cores,
+                final_active: cfg.min_cores,
+            },
+        })
+    }
+
+    /// See arrival number `index` (0-based) at `t`. Every epoch of
+    /// *arrivals* (admitted or shed — sheds are pressure too), compare
+    /// the mean backlog over the active set against the thresholds and
+    /// grow or shrink it by one core. Sampled before the arrival
+    /// dispatches, so an idle system reads as idle instead of as its own
+    /// just-issued request's footprint.
+    fn tick(&mut self, mw: &MultiWorld, index: u64, t: u64) {
+        if !(index + 1).is_multiple_of(self.cfg.epoch_arrivals) {
+            return;
+        }
+        let s = &mut self.state;
+        let active = s.final_active;
+        let max = self.cfg.max_cores.min(mw.n_cores());
+        let mean_lag = (0..active).map(|c| mw.backlog(c, t)).sum::<u64>() / active as u64;
+        if mean_lag > self.cfg.grow_backlog_cycles && active < max {
+            s.final_active += 1;
+            s.grow_events += 1;
+        } else if mean_lag < self.cfg.shrink_backlog_cycles && active > self.cfg.min_cores {
+            s.final_active -= 1;
+            s.shrink_events += 1;
+        }
+        s.min_active = s.min_active.min(s.final_active);
+        s.max_active = s.max_active.max(s.final_active);
+    }
+}
+
+/// Cycles (as f64, so means pass through) to microseconds at `clock_hz`
+/// — the one place a report does this conversion.
+fn to_us(cycles: f64, clock_hz: u64) -> f64 {
+    cycles / clock_hz as f64 * 1e6
+}
+
+/// The serving engine, the crate's one request loop: each arrival from
+/// `source` is admitted and priced through `att`, or shed by its
+/// tenant's queue cap (`classes[tenant % len]`) or by a nonzero
+/// `backlog_cap_cycles`. Callers validate their inputs first, so the
+/// only error is a placement rejection. The report's `tenants` is left
+/// empty; the per-tenant counts and latencies stay in `scratch`.
+#[allow(clippy::too_many_arguments)] // the sweep axes are the signature
+pub(crate) fn run_engine(
+    mw: &mut MultiWorld,
+    policy: &ServePolicy,
+    n_services: usize,
+    recipes: &[Vec<Step>],
+    classes: &[TenantClass],
+    backlog_cap_cycles: u64,
+    mut source: Source<'_>,
+    scratch: &mut ServeScratch,
+    mut att: Attribution<'_>,
+) -> Result<ServeReport, LoadError> {
+    scratch.clear();
+    let n_tenants = source.start(scratch);
+    scratch.shed.resize(n_tenants, Shed::default());
+    grow(&mut scratch.outstanding, n_tenants);
+    // The closed loop at window 1 folds waiting into latency, as it
+    // always has, instead of attributing it to `Phase::Queue`.
+    let attribute_queue = !matches!(source, Source::Clients { window: 1, .. });
+    let mut ctl = Controller::of(policy);
+    let mut ledger = CycleLedger::new();
+    let (mut offered, mut admitted, mut ipc_calls) = (0u64, 0u64, 0u64);
+    let (mut makespan, mut last_arrival) = (0u64, 0u64);
+    while let Some((t, tenant, recipe)) = source.next(offered, scratch) {
+        let index = offered;
+        offered += 1;
+        last_arrival = t;
+        if let Some(ctl) = &mut ctl {
+            ctl.tick(mw, index, t);
+        }
+        // Retire completions: an admitted request leaves its tenant's
+        // queue the moment virtual time passes its completion.
+        let heap = &mut scratch.outstanding[tenant];
+        while heap.peek().is_some_and(|Reverse(done)| *done <= t) {
+            heap.pop();
+        }
+        // Admission, stage 1: the tenant's bounded queue.
+        if heap.len() >= classes[tenant % classes.len()].queue_cap {
+            scratch.shed[tenant].queue_full += 1;
+            continue;
+        }
+        if let Some(ctl) = &ctl {
+            // Whole chain on the least-loaded active core: an arrival
+            // has no pinned client core, so the controller behaves like
+            // a front-end load balancer assigning the request to one
+            // worker — active cores are independent capacity, with no
+            // cross-core tax introduced by the scaling itself.
+            let chain = mw.least_loaded_among(ctl.state.final_active);
+            scratch.map.clear();
+            scratch.map.resize(n_services, chain);
+        } else if let ServePolicy::Static(p) = policy {
+            p.assign_into(index, n_services, mw, &mut scratch.map)?;
+        }
+        // Admission, stage 2: the global backlog bound — shed instead
+        // of joining a queue the request would wait `> cap` cycles in.
+        if backlog_cap_cycles > 0 {
+            let lag = scratch.map.iter().map(|&c| mw.backlog(c, t)).max();
+            if lag.unwrap_or(0) > backlog_cap_cycles {
+                scratch.shed[tenant].backlog += 1;
+                continue;
+            }
+        }
+        let steps = &recipes[recipe];
+        let (done, calls) = attribute(&mut att, admitted, &mut ledger, |sink| {
+            run_request_sink(
+                mw,
+                &scratch.map,
+                steps,
+                t,
+                attribute_queue,
+                &mut scratch.step_ledger,
+                sink,
+            )
+        });
+        admitted += 1;
+        ipc_calls += calls;
+        makespan = makespan.max(done);
+        scratch.samples.push((tenant, done - t));
+        scratch.outstanding[tenant].push(Reverse(done));
+        source.admitted(t, tenant, done, scratch);
+    }
+    let lat = &mut scratch.latencies;
+    lat.extend(scratch.samples.iter().map(|s| s.1));
+    lat.sort_unstable();
+    let hz = mw.core(0).cost.clock_hz;
+    let mean = lat.iter().sum::<u64>() as f64 / lat.len().max(1) as f64;
+    let pct = |q: f64| to_us(percentile(lat, q) as f64, hz);
+    Ok(ServeReport {
+        system: mw.core(0).ipc_name(),
+        policy: policy.label(),
+        cores: mw.n_cores(),
+        offered,
+        admitted,
+        shed_queue_full: scratch.shed.iter().map(|s| s.queue_full).sum(),
+        shed_backlog: scratch.shed.iter().map(|s| s.backlog).sum(),
+        ipc_calls,
+        makespan_cycles: makespan,
+        busy_cycles: mw.busy_cycles(),
+        offered_rps: offered as f64 * hz as f64 / last_arrival.max(1) as f64,
+        goodput_rps: if makespan == 0 {
+            0.0
+        } else {
+            admitted as f64 * hz as f64 / makespan as f64
+        },
+        mean_us: to_us(mean, hz),
+        p50_us: pct(0.50),
+        p95_us: pct(0.95),
+        p99_us: pct(0.99),
+        max_us: pct(1.0),
+        // `Sampled` renders its exact flat totals in canonical order.
+        ledger: match att {
+            Attribution::Full(_) => ledger,
+            Attribution::Sampled { totals, .. } => totals.to_ledger(),
+        },
+        tenants: Vec::new(),
+        autoscale: ctl.map(|c| c.state),
+        engine_cache: mw.engine_cache_stats(),
+    })
 }
 
 /// Replay `trace` through `mw` under `policy` and `spec` with fresh
@@ -712,25 +988,39 @@ pub fn serve(
     )
 }
 
+/// Reject an autoscale configuration that cannot act on `n_cores`.
+fn check_autoscale(cfg: &AutoscaleCfg, n_cores: usize) -> Result<(), ServeError> {
+    let why = if cfg.min_cores == 0 {
+        "min_cores must be >= 1"
+    } else if cfg.epoch_arrivals == 0 {
+        "epoch_arrivals must be >= 1"
+    } else if cfg.min_cores > cfg.max_cores.min(n_cores) {
+        "min_cores exceeds max_cores (after clamping to the world)"
+    } else if cfg.shrink_backlog_cycles >= cfg.grow_backlog_cycles {
+        "shrink threshold must sit below the grow threshold"
+    } else {
+        return Ok(());
+    };
+    Err(ServeError::BadAutoscale { why })
+}
+
 /// Replay an [`ArrivalTrace`] through a [`MultiWorld`]: the open-loop
-/// serving engine.
+/// arrival source of the serving engine.
 ///
 /// Arrivals are processed in trace order. Each is either **admitted**
-/// (its recipe priced through the same [`Attribution`] sinks as the
-/// closed-loop hot path, queueing attributed to [`Phase::Queue`]) or
-/// **shed** with a typed [`ShedCause`]; the report conserves arrivals
-/// exactly (`admitted + shed == offered`). Same trace + same spec ⇒
-/// byte-identical [`ServeReport`].
+/// (its recipe priced through `att`, queueing attributed to
+/// [`Phase::Queue`]) or **shed** with a typed [`ShedCause`]; the report
+/// conserves arrivals exactly (`admitted + shed == offered`). Same
+/// trace + same spec ⇒ byte-identical [`ServeReport`].
 ///
 /// # Errors
 ///
 /// [`ServeError`] when the roster is empty, the trace is empty or
 /// references tenants/recipes outside bounds, a tenant class can never
-/// admit, the autoscale configuration cannot act, or placement rejects
-/// a map — all structural problems, reported before (or instead of)
-/// pricing anything. Shed arrivals are *not* errors.
+/// admit, or the autoscale configuration cannot act — all checked
+/// before pricing anything — or when placement rejects a map. Shed
+/// arrivals are *not* errors.
 #[allow(clippy::too_many_arguments)] // the sweep axes are the signature
-#[allow(clippy::too_many_lines)] // one arrival loop, kept whole on purpose
 pub fn serve_with(
     mw: &mut MultiWorld,
     policy: &ServePolicy,
@@ -739,15 +1029,12 @@ pub fn serve_with(
     trace: &ArrivalTrace,
     spec: &ServeSpec,
     scratch: &mut ServeScratch,
-    mut att: Attribution<'_>,
+    att: Attribution<'_>,
 ) -> Result<ServeReport, ServeError> {
-    if recipes.is_empty() {
-        return Err(ServeError::Load(LoadError::EmptyRecipes));
-    }
+    check_roster(mw, recipes, n_services)?;
     if trace.is_empty() {
         return Err(ServeError::EmptyTrace);
     }
-    check_services(mw, recipes, n_services)?;
     if spec.tenants == 0 {
         return Err(ServeError::NoTenants);
     }
@@ -757,225 +1044,67 @@ pub fn serve_with(
     if spec.classes.iter().any(|c| c.queue_cap == 0) {
         return Err(ServeError::ZeroQueueCap);
     }
-    let n_cores = mw.n_cores();
-    // Autoscale controller state: the active set is the core prefix
-    // [0, active); static policies keep every core active.
-    let (mut active, auto) = match policy {
-        ServePolicy::Static(_) => (n_cores, None),
-        ServePolicy::Autoscale(cfg) => {
-            if cfg.min_cores == 0 {
-                return Err(ServeError::BadAutoscale {
-                    why: "min_cores must be >= 1",
-                });
-            }
-            if cfg.epoch_arrivals == 0 {
-                return Err(ServeError::BadAutoscale {
-                    why: "epoch_arrivals must be >= 1",
-                });
-            }
-            let max = cfg.max_cores.min(n_cores);
-            if cfg.min_cores > max {
-                return Err(ServeError::BadAutoscale {
-                    why: "min_cores exceeds max_cores (after clamping to the world)",
-                });
-            }
-            if cfg.shrink_backlog_cycles >= cfg.grow_backlog_cycles {
-                return Err(ServeError::BadAutoscale {
-                    why: "shrink threshold must sit below the grow threshold",
-                });
-            }
-            (cfg.min_cores, Some((cfg, max)))
-        }
-    };
-    let n_tenants = spec.tenants as usize;
-    scratch.clear();
-    if scratch.outstanding.len() < n_tenants {
-        scratch.outstanding.resize_with(n_tenants, BinaryHeap::new);
+    if let ServePolicy::Autoscale(cfg) = policy {
+        check_autoscale(cfg, mw.n_cores())?;
     }
-    if scratch.tenant_latencies.len() < n_tenants {
-        scratch.tenant_latencies.resize_with(n_tenants, Vec::new);
-    }
-    scratch.latencies.reserve(trace.len());
-    let mut offered = vec![0u64; n_tenants];
-    let mut admitted = vec![0u64; n_tenants];
-    let mut shed_queue = vec![0u64; n_tenants];
-    let mut shed_backlog = vec![0u64; n_tenants];
-    let mut ledger = CycleLedger::new();
-    let mut makespan = 0u64;
-    let mut ipc_calls = 0u64;
-    let mut admitted_total = 0u64;
-    let mut since_epoch = 0u64;
-    let (mut grow_events, mut shrink_events) = (0u64, 0u64);
-    let (mut min_active, mut max_active) = (active, active);
-    for (i, a) in trace.arrivals().iter().enumerate() {
-        let t = a.at;
-        let tenant = a.tenant as usize;
-        if tenant >= n_tenants {
+    for (index, a) in trace.arrivals().iter().enumerate() {
+        if a.tenant >= spec.tenants {
             return Err(ServeError::TenantOutOfRange {
-                index: i,
+                index,
                 tenant: a.tenant,
                 tenants: spec.tenants,
             });
         }
-        let recipe = recipes.get(a.recipe as usize).ok_or({
-            ServeError::RecipeOutOfRange {
-                index: i,
+        if a.recipe as usize >= recipes.len() {
+            return Err(ServeError::RecipeOutOfRange {
+                index,
                 recipe: a.recipe,
                 n_recipes: recipes.len(),
-            }
-        })?;
-        offered[tenant] += 1;
-        // The feedback controller: every epoch of *arrivals* (admitted
-        // or shed — sheds are pressure too), compare the mean backlog
-        // over the active set against the thresholds. Sampled before
-        // this arrival dispatches, so an idle system reads as idle
-        // instead of as its own just-issued request's footprint.
-        if let Some((cfg, max)) = auto {
-            since_epoch += 1;
-            if since_epoch >= cfg.epoch_arrivals {
-                since_epoch = 0;
-                let mean_lag = (0..active).map(|c| mw.backlog(c, t)).sum::<u64>() / active as u64;
-                if mean_lag > cfg.grow_backlog_cycles && active < max {
-                    active += 1;
-                    grow_events += 1;
-                } else if mean_lag < cfg.shrink_backlog_cycles && active > cfg.min_cores {
-                    active -= 1;
-                    shrink_events += 1;
-                }
-                min_active = min_active.min(active);
-                max_active = max_active.max(active);
-            }
+            });
         }
-        // Retire completions: an admitted request leaves its tenant's
-        // queue the moment virtual time passes its completion.
-        let heap = &mut scratch.outstanding[tenant];
-        while heap.peek().is_some_and(|Reverse(done)| *done <= t) {
-            heap.pop();
-        }
-        // Admission, stage 1: the tenant's bounded queue.
-        if heap.len() >= spec.class_of(a.tenant).queue_cap {
-            shed_queue[tenant] += 1;
-            continue;
-        }
-        // Placement: static policies map by arrival index (as the
-        // closed loop maps by request index); the autoscaler dispatches
-        // to the least-loaded active core.
-        match policy {
-            ServePolicy::Static(p) => {
-                p.assign_into(i as u64, n_services, mw, &mut scratch.map)
-                    .map_err(LoadError::Placement)?;
-            }
-            ServePolicy::Autoscale(_) => {
-                // Whole chain on the least-loaded active core: an
-                // open-loop arrival has no pinned client core, so the
-                // controller behaves like a front-end load balancer
-                // assigning the request to one worker — active cores
-                // are independent capacity, with no cross-core tax
-                // introduced by the scaling itself.
-                let chain = mw.least_loaded_among(active);
-                scratch.map.clear();
-                scratch.map.resize(n_services, chain);
-            }
-        }
-        // Admission, stage 2: the global backlog bound — shed instead
-        // of joining a queue the request would wait `> cap` cycles in.
-        if spec.backlog_cap_cycles > 0 {
-            let lag = scratch
-                .map
-                .iter()
-                .map(|&c| mw.backlog(c, t))
-                .max()
-                .unwrap_or(0);
-            if lag > spec.backlog_cap_cycles {
-                shed_backlog[tenant] += 1;
-                continue;
-            }
-        }
-        // Admit: price the request through the attribution sink, spans
-        // landing exactly as on the closed-loop hot path. Queue waiting
-        // is always attributed — an open loop's whole point is that the
-        // wait behind earlier work is visible, not folded away.
-        let (done, calls) = attribute(&mut att, admitted_total, &mut ledger, |sink| {
-            run_request_sink(
-                mw,
-                &scratch.map,
-                recipe,
-                t,
-                true,
-                &mut scratch.step_ledger,
-                sink,
-            )
-        });
-        admitted[tenant] += 1;
-        admitted_total += 1;
-        ipc_calls += calls;
-        let latency = done - t;
-        scratch.latencies.push(latency);
-        scratch.tenant_latencies[tenant].push(latency);
-        makespan = makespan.max(done);
-        scratch.outstanding[tenant].push(Reverse(done));
     }
-    let ledger = report_ledger(&att, ledger);
-    scratch.latencies.sort_unstable();
-    let clock_hz = mw.core(0).cost.clock_hz;
-    let to_us = |cycles: f64| cycles / clock_hz as f64 * 1e6;
-    let latencies = &scratch.latencies;
-    let mean = latencies.iter().sum::<u64>() as f64 / latencies.len().max(1) as f64;
-    let tenants = (0..n_tenants)
-        .map(|tn| {
-            let lat = &mut scratch.tenant_latencies[tn];
+    let source = Source::Trace {
+        arrivals: trace.arrivals().iter(),
+        tenants: spec.tenants as usize,
+    };
+    let mut report = run_engine(
+        mw,
+        policy,
+        n_services,
+        recipes,
+        &spec.classes,
+        spec.backlog_cap_cycles,
+        source,
+        scratch,
+        att,
+    )?;
+    let hz = mw.core(0).cost.clock_hz;
+    grow(&mut scratch.tenant_latencies, scratch.shed.len());
+    for &(tenant, latency) in &scratch.samples {
+        scratch.tenant_latencies[tenant].push(latency);
+    }
+    let per_tenant = scratch.shed.iter().zip(&mut scratch.tenant_latencies);
+    report.tenants = per_tenant
+        .zip(0u32..)
+        .map(|((shed, lat), tenant)| {
             lat.sort_unstable();
-            let p50 = to_us(percentile(lat, 0.50) as f64);
-            let p99 = to_us(percentile(lat, 0.99) as f64);
-            let tenant = u32::try_from(tn).expect("tenant fits u32");
+            let admitted = lat.len() as u64;
+            let p99 = to_us(percentile(lat, 0.99) as f64, hz);
             let class = spec.class_of(tenant);
             TenantReport {
                 tenant,
-                offered: offered[tn],
-                admitted: admitted[tn],
-                shed_queue_full: shed_queue[tn],
-                shed_backlog: shed_backlog[tn],
-                p50_us: p50,
+                offered: admitted + shed.queue_full + shed.backlog,
+                admitted,
+                shed_queue_full: shed.queue_full,
+                shed_backlog: shed.backlog,
+                p50_us: to_us(percentile(lat, 0.50) as f64, hz),
                 p99_us: p99,
                 slo_p99_us: class.slo_p99_us,
                 slo_met: p99 <= class.slo_p99_us,
             }
         })
         .collect();
-    let offered_total = trace.len() as u64;
-    Ok(ServeReport {
-        system: mw.core(0).ipc_name(),
-        policy: policy.label(),
-        cores: n_cores,
-        offered: offered_total,
-        admitted: admitted_total,
-        shed_queue_full: shed_queue.iter().sum(),
-        shed_backlog: shed_backlog.iter().sum(),
-        ipc_calls,
-        makespan_cycles: makespan,
-        busy_cycles: mw.busy_cycles(),
-        offered_rps: offered_total as f64 * clock_hz as f64 / trace.span_cycles().max(1) as f64,
-        goodput_rps: if makespan == 0 {
-            0.0
-        } else {
-            admitted_total as f64 * clock_hz as f64 / makespan as f64
-        },
-        mean_us: to_us(mean),
-        p50_us: to_us(percentile(latencies, 0.50) as f64),
-        p95_us: to_us(percentile(latencies, 0.95) as f64),
-        p99_us: to_us(percentile(latencies, 0.99) as f64),
-        max_us: to_us(latencies.last().copied().unwrap_or(0) as f64),
-        ledger,
-        tenants,
-        autoscale: auto.map(|_| AutoscaleReport {
-            grow_events,
-            shrink_events,
-            min_active,
-            max_active,
-            final_active: active,
-        }),
-        engine_cache: mw.engine_cache_stats(),
-    })
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -1163,6 +1292,31 @@ mod tests {
             bad.trace(10, 1).unwrap_err(),
             ServeError::BadBurstSpec { .. }
         ));
+        // A burst so long that sizing it (`2 * burst_len - 1`) would
+        // overflow is rejected up front instead of panicking mid-trace.
+        let huge = OpenLoopGen {
+            process: ArrivalProcess::OnOff {
+                burst_len: u64::MAX / 2 + 1,
+                accel_x10: 80,
+            },
+            ..gen(100)
+        };
+        assert_eq!(
+            huge.trace(10, 1).unwrap_err(),
+            ServeError::BadBurstSpec {
+                burst_len: u64::MAX / 2 + 1,
+                accel_x10: 80,
+            }
+        );
+        // The longest accepted burst still draws.
+        let longest = OpenLoopGen {
+            process: ArrivalProcess::OnOff {
+                burst_len: u64::MAX / 2,
+                accel_x10: 80,
+            },
+            ..gen(100)
+        };
+        assert_eq!(longest.trace(10, 1).unwrap().len(), 10);
     }
 
     fn spec2() -> ServeSpec {
@@ -1457,6 +1611,38 @@ mod tests {
             serve(&mut world, &bad_auto, 2, &[recipe()], &tr, &spec2()).unwrap_err(),
             ServeError::BadAutoscale { .. }
         ));
+        // A bad arrival late in the trace is still rejected before the
+        // good ones ahead of it are priced.
+        let late = |tenant: u32, recipe: u32| {
+            let arrivals = (0..10u64)
+                .map(|k| Arrival {
+                    at: k * 1_000,
+                    tenant: if k == 7 { tenant } else { 0 },
+                    recipe: if k == 7 { recipe } else { 0 },
+                })
+                .collect();
+            ArrivalTrace::from_arrivals(arrivals).unwrap()
+        };
+        let mut fresh = mw(2);
+        assert_eq!(
+            serve(&mut fresh, &policy, 2, &[recipe()], &late(5, 0), &spec2()).unwrap_err(),
+            ServeError::TenantOutOfRange {
+                index: 7,
+                tenant: 5,
+                tenants: 2,
+            }
+        );
+        assert_eq!(fresh.busy_cycles(), 0, "rejected before pricing anything");
+        let mut fresh = mw(2);
+        assert_eq!(
+            serve(&mut fresh, &policy, 2, &[recipe()], &late(0, 3), &spec2()).unwrap_err(),
+            ServeError::RecipeOutOfRange {
+                index: 7,
+                recipe: 3,
+                n_recipes: 1,
+            }
+        );
+        assert_eq!(fresh.busy_cycles(), 0, "rejected before pricing anything");
     }
 
     #[test]

@@ -19,7 +19,7 @@ use xpc_repro::kernels::{IpcSystem, Sel4, Sel4Transfer, XpcIpc, Zircon};
 use xpc_repro::services::http::{chain_steps, ChainSpec, CHAIN_SERVICES};
 use xpc_repro::simos::{load, CycleLedger, LoadGen, MultiWorld, Phase, Placement, Step, Topology};
 
-fn main() {
+fn main() -> Result<(), load::LoadError> {
     type Mk = fn() -> Box<dyn IpcSystem>;
     let mechanisms: [Mk; 3] = [
         || Box::new(Zircon::new()),
@@ -85,7 +85,7 @@ fn main() {
         ] {
             for policy in [Placement::RoundRobin, Placement::LeastLoaded] {
                 let mut mw = MultiWorld::builder().topology(topo.clone()).build(mk);
-                let r = load::run_windowed(&mut mw, &policy, CHAIN_SERVICES, &recipes, &spec, 4);
+                let r = load::run_windowed(&mut mw, &policy, CHAIN_SERVICES, &recipes, &spec, 4)?;
                 println!(
                     "{:14} {:12} {:12} {:>6} {:>8.0} {:>9.1} {:>6.0}% {:>5.0}%",
                     r.system,
@@ -104,4 +104,5 @@ fn main() {
     println!("trap-based kernels pay the doubled surcharge on every remote hop;");
     println!("XPC pays only cache-line distance + one x-entry shard fetch, so the");
     println!("second socket is nearly free capacity under the least-loaded policy.");
+    Ok(())
 }

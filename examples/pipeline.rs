@@ -34,7 +34,7 @@ fn recipe(batch: u64) -> Vec<Step> {
     ]
 }
 
-fn main() {
+fn main() -> Result<(), load::LoadError> {
     type Mk = fn() -> Box<dyn IpcSystem>;
     let mechanisms: [Mk; 2] = [
         || Box::new(Sel4::new(Sel4Transfer::OneCopy)),
@@ -67,7 +67,7 @@ fn main() {
                     &[recipe(batch)],
                     &spec,
                     window,
-                );
+                )?;
                 let calls_s = r.ipc_calls as f64 * hz / r.makespan_cycles.max(1) as f64;
                 println!(
                     "{:12} {:>6} {:>5} {:>10.0} {:>10.1} {:>10.1} {:>5.0}% {:>10}",
@@ -88,4 +88,5 @@ fn main() {
     println!("batching barely helps seL4 (every call still traps + switches);");
     println!("XPC's per-call cost halves as repeat xcalls hit the engine cache,");
     println!("and the queue column shows waiting once the window opens.");
+    Ok(())
 }

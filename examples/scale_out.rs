@@ -12,7 +12,7 @@ use xpc_repro::kernels::{IpcSystem, XpcIpc, Zircon};
 use xpc_repro::services::http::{chain_steps, ChainSpec, CHAIN_SERVICES};
 use xpc_repro::simos::{load, LoadGen, MultiWorld, Placement};
 
-fn main() {
+fn main() -> Result<(), load::LoadError> {
     type Mk = fn() -> Box<dyn IpcSystem>;
     let mechanisms: [Mk; 2] = [
         || Box::new(Zircon::new()),
@@ -47,7 +47,7 @@ fn main() {
             .collect();
         for policy in &policies {
             let mut mw = MultiWorld::builder().cores(4).build(mk);
-            let r = load::run(&mut mw, policy, CHAIN_SERVICES, &recipes, &spec);
+            let r = load::run_windowed(&mut mw, policy, CHAIN_SERVICES, &recipes, &spec, 1)?;
             println!(
                 "{:12} {:12} {:>9.0} {:>9.1} {:>9.1} {:>9.1} {:>6.0}%",
                 r.system,
@@ -63,4 +63,5 @@ fn main() {
     }
     println!("note how spreading the Zircon chain can *lose* to one core,");
     println!("while the XPC variant scales out with zero cross-core cycles.");
+    Ok(())
 }
